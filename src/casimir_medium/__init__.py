@@ -76,6 +76,7 @@ from .quadrature import (
     inner_mode_integral,
     integrate_1d,
     integrate_2d_oracle,
+    integrate_exp_sinh,
     polylog,
 )
 
@@ -126,6 +127,7 @@ __all__ = [
     "inner_mode_integral",
     "integrate_1d",
     "integrate_2d_oracle",
+    "integrate_exp_sinh",
     "kk_imaginary_axis",
     "load_medium",
     "matter_only_force",

@@ -59,10 +59,24 @@ _FORCE_COLUMNS = (
 )
 _PROPAGATOR_COLUMNS = ("axis", "kind", "k", "freq", "re", "im", "status")
 _PROPAGATOR_KINDS = ("G0", "Gomega", "Gphiphi", "GphiP", "GphiM", "GPP", "GMM")
+# what each --config key must hold: a JSON type, or the allowed strings
 _CONFIG_KEYS = {
-    "medium", "field", "bc", "hmin", "hmax", "points", "log",
-    "rel_tol", "abs_tol", "format", "out", "eta", "scale",
+    "medium": str,
+    "field": ("scalar", "em"),
+    "bc": ("field", "polarization"),
+    "hmin": float,
+    "hmax": float,
+    "points": int,
+    "log": bool,
+    "rel_tol": float,
+    "abs_tol": float,
+    "format": ("csv", "json"),
+    "out": str,
+    "eta": float,
+    "scale": float,
 }
+_JSON_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer",
+                    bool: "true or false"}
 
 
 def _fmt(x: float) -> str:
@@ -89,10 +103,34 @@ def _load_config(path: str | None) -> dict:
         raise MediumFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(cfg, dict):
         raise MediumFileError(f"{path}: config must be a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
         raise MediumFileError(f"{path}: unknown config key {sorted(unknown)[0]!r}")
+    for key, value in cfg.items():
+        _check_config_value(path, key, value, _CONFIG_KEYS[key])
     return cfg
+
+
+def _check_config_value(path: str, key: str, value, expected) -> None:
+    if isinstance(expected, tuple):
+        if value not in expected:
+            raise MediumFileError(
+                f"{path}: config key {key!r} must be one of "
+                f"{', '.join(expected)}, got {value!r}"
+            )
+        return
+    # JSON true/false load as bool, a subclass of int: only "log" takes them
+    if expected is bool or isinstance(value, bool):
+        ok = expected is bool and isinstance(value, bool)
+    elif expected is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, expected)
+    if not ok:
+        raise MediumFileError(
+            f"{path}: config key {key!r} must be {_JSON_TYPE_NAMES[expected]}, "
+            f"got {value!r}"
+        )
 
 
 def _env_rel_tol() -> float | None:
@@ -144,8 +182,6 @@ def _cmd_force(args: argparse.Namespace) -> int:
     fmt = _resolve(args.format, config, "format", "csv")
     out = _resolve(args.out, config, "out", None)
     scale = float(_resolve(args.scale, config, "scale", 1.0))
-    if fmt not in ("csv", "json"):
-        raise MediumFileError(f"format must be csv or json, got {fmt!r}")
 
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol)
     grid = _separation_grid(hmin, hmax, points, log)

@@ -21,6 +21,7 @@ arbitrary common unit and susceptibilities are dimensionless.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 import math
@@ -69,7 +70,18 @@ class FieldKind(enum.Enum):
     EM = "em"
 
 
-def _check_xi(xi: float) -> None:
+# chi_bar and refractive_index take a float or an ndarray.  Where they must
+# tell the two apart they test ``type(x) is float`` first, inline: the nested
+# quadratures pass plain floats by the hundred thousand, and a helper call or
+# an isinstance check against ndarray would cost more than the arithmetic.
+
+
+def _check_xi(xi) -> None:
+    if type(xi) is not float and isinstance(xi, np.ndarray):
+        valid = (xi >= 0.0) & np.isfinite(xi)
+        if valid.all():
+            return
+        xi = float(xi[~valid].flat[0])
     if not (xi >= 0.0 and math.isfinite(xi)):
         raise DomainError(f"imaginary-axis frequency must be >= 0, got {xi!r}")
 
@@ -84,11 +96,13 @@ class SusceptibilityModel:
 
     Concrete models implement the Wick-rotated response ``chi_bar``, the
     real-axis absorptive part ``im_chi`` and the full complex retarded
-    response ``chi_real_axis``.  Instances are immutable and safe to share
-    across threads.
+    response ``chi_real_axis``.  ``chi_bar`` also takes an ndarray of
+    frequencies and returns an array of the same shape; a float argument
+    gives a float.  Instances are immutable and safe to share across
+    threads.
     """
 
-    def chi_bar(self, xi: float) -> float:
+    def chi_bar(self, xi):
         """Susceptibility on the imaginary frequency axis, real and >= 0."""
         raise NotImplementedError
 
@@ -128,8 +142,10 @@ class Constant(SusceptibilityModel):
         if not (self.chi0 >= 0.0 and math.isfinite(self.chi0)):
             raise DomainError(f"chi0 must be >= 0, got {self.chi0!r}")
 
-    def chi_bar(self, xi: float) -> float:
+    def chi_bar(self, xi):
         _check_xi(xi)
+        if type(xi) is not float and isinstance(xi, np.ndarray):
+            return np.full(xi.shape, float(self.chi0))
         return self.chi0
 
     def im_chi(self, omega: float) -> float:
@@ -160,7 +176,7 @@ class Lorentz(SusceptibilityModel):
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
             raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
 
-    def chi_bar(self, xi: float) -> float:
+    def chi_bar(self, xi):
         _check_xi(xi)
         wp2 = self.omega_p * self.omega_p
         return wp2 / (self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi)
@@ -217,9 +233,9 @@ class Drude(SusceptibilityModel):
         if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
             raise DomainError(f"gamma must be > 0, got {self.gamma!r}")
 
-    def chi_bar(self, xi: float) -> float:
+    def chi_bar(self, xi):
         _check_xi(xi)
-        if xi == 0.0:
+        if (xi == 0.0) if type(xi) is float else np.any(xi == 0.0):
             raise DomainError(
                 "free-carrier response diverges at zero imaginary frequency"
             )
@@ -268,7 +284,7 @@ class SharpResonance(SusceptibilityModel):
         if not (self.omega_0 > 0.0 and math.isfinite(self.omega_0)):
             raise DomainError(f"omega_0 must be > 0, got {self.omega_0!r}")
 
-    def chi_bar(self, xi: float) -> float:
+    def chi_bar(self, xi):
         _check_xi(xi)
         return self.omega_p**2 / (self.omega_0**2 + xi * xi)
 
@@ -339,21 +355,27 @@ class TabulatedCoupling(SusceptibilityModel):
             if omega == w[-1]:
                 return self.g_values[-1]
             return 0.0
-        return float(np.interp(omega, w, self.g_values))
+        # segment [w[i], w[i+1]) holds omega; exact at every node
+        i = bisect.bisect_right(w, omega) - 1
+        g = self.g_values
+        return g[i] + (omega - w[i]) * ((g[i + 1] - g[i]) / (w[i + 1] - w[i]))
 
-    def chi_bar(self, xi: float) -> float:
+    def chi_bar(self, xi):
         _check_xi(xi)
         w = np.asarray(self.omega_grid)
         u1, u2 = w[:-1], w[1:]
         m, b = self._slopes, self._offsets
-        xi2 = xi * xi
+        # one row of segments per frequency
+        x = np.asarray(xi, dtype=float)[..., None]
+        xi2 = x * x
         log_part = 0.5 * m * np.log((u2 * u2 + xi2) / (u1 * u1 + xi2))
-        if xi == 0.0:
-            atan_part = b * (1.0 / u1 - 1.0 / u2)
-        else:
+        with np.errstate(divide="ignore", invalid="ignore"):
             # atan(u2/xi) - atan(u1/xi) rewritten to stay stable for small xi
-            atan_part = b * np.arctan(xi * (u2 - u1) / (xi2 + u1 * u2)) / xi
-        return float(np.sum(log_part + atan_part))
+            atan_part = b * np.arctan(x * (u2 - u1) / (xi2 + u1 * u2)) / x
+        if np.any(x == 0.0):
+            atan_part = np.where(x == 0.0, b * (1.0 / u1 - 1.0 / u2), atan_part)
+        total = np.sum(log_part + atan_part, axis=-1)
+        return total if isinstance(xi, np.ndarray) else float(total)
 
     def im_chi(self, omega: float) -> float:
         _check_omega(omega)
@@ -427,25 +449,34 @@ class Medium(object):
         """Permittivity 1 + chi_e on the imaginary axis."""
         return 1.0 + self.chi_e_bar(xi)
 
-    def mu_bar(self, xi: float) -> float:
+    def mu_bar(self, xi):
         """Permeability 1/(1 - chi_m) on the imaginary axis.
 
-        Raises MediumInstabilityError once chi_m reaches 1.
+        Raises MediumInstabilityError once chi_m reaches 1 (at the first
+        such frequency of an array).
         """
         chi_m = self.chi_m_bar(xi)
-        if chi_m >= 1.0:
+        if type(chi_m) is not float and isinstance(chi_m, np.ndarray):
+            unstable = chi_m >= 1.0
+            if unstable.any():
+                i = int(np.argmax(unstable))
+                raise MediumInstabilityError(float(xi.flat[i]), float(chi_m.flat[i]))
+        elif chi_m >= 1.0:
             raise MediumInstabilityError(xi, chi_m)
         return 1.0 / (1.0 - chi_m)
 
-    def refractive_index(self, kind: FieldKind, xi: float) -> float:
+    def refractive_index(self, kind: FieldKind, xi):
         """Euclidean refractive index n(xi) for the given field content.
 
         Scalar: n = sqrt(1 + chi_e).  EM: n = sqrt(mu_bar * epsilon_bar) =
-        sqrt((1 + chi_e)/(1 - chi_m)).
+        sqrt((1 + chi_e)/(1 - chi_m)).  Takes a float or an ndarray of
+        frequencies, like ``chi_bar``.
         """
         if kind is FieldKind.SCALAR:
-            return math.sqrt(1.0 + self.chi_e_bar(xi))
-        return math.sqrt(self.epsilon_bar(xi) * self.mu_bar(xi))
+            n2 = 1.0 + self.chi_e_bar(xi)
+        else:
+            n2 = self.epsilon_bar(xi) * self.mu_bar(xi)
+        return math.sqrt(n2) if type(n2) is float else np.sqrt(n2)
 
 
 VACUUM = Medium(Constant(0.0), Constant(0.0))

@@ -211,6 +211,21 @@ class TestConfigPrecedence:
     def test_missing_config(self, tmp_path, capsys):
         assert main(["force", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("cfg, key", [
+        ({"points": "abc"}, "points"),
+        ({"field": "bogus"}, "field"),
+        ({"rel_tol": "x"}, "rel_tol"),
+    ])
+    def test_bad_config_value_names_key(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["force", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert repr(key) in lines[0]
+
     def test_env_rel_tol_applies_and_flag_wins(self, monkeypatch, capsys):
         assert main(["force"]) == 0
         baseline = parse_csv(capsys.readouterr().out)[1][0]
@@ -398,6 +413,11 @@ def _run_entry_point(value, *args):
         f"sys.exit(EntryPoint('casimir-medium', {value!r}, "
         "'console_scripts').load()())"
     )
+    return _run_python(code, *args)
+
+
+def _run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports the code under test."""
     package_root = str(Path(casimir_medium.__file__).resolve().parents[1])
     paths = [package_root, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -405,6 +425,19 @@ def _run_entry_point(value, *args):
         [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_field_route_does_not_import_quadpack():
+    # scipy.integrate is most of the import time; only the QUADPACK routes
+    # (polarization BC, dispersion transform, oracles) may load it
+    code = (
+        "import sys; import casimir_medium.cli as cli; "
+        "assert cli.main(['force', '--hmax', '2', '--points', '3']) == 0; "
+        "assert cli.main(['check', 'limits', 'dyson']) == 0; "
+        "sys.exit(5 if 'scipy.integrate' in sys.modules else 0)"
+    )
+    proc = _run_python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():

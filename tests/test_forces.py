@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from casimir_medium import (
     BoundaryCondition,
@@ -137,6 +138,52 @@ class TestDispersiveForces:
         res = force_field_bc(ForceQuery(medium=medium, separation=h))
         assert res.force_per_area < 0.0
         assert res.vacuum_ratio <= 1.0 + 1e-12
+
+
+ZETA_3 = 1.2020569031595942854
+
+
+def _mode_j(x):
+    """J(x) = int_x^inf v^2/(e^v - 1) dv, built without the library."""
+    if x < 2.0:
+        head, _ = quad(lambda v: v * v / math.expm1(v) if v > 0.0 else 0.0,
+                       0.0, x, epsabs=0.0, epsrel=1e-13)
+        return 2.0 * ZETA_3 - head
+    return math.fsum(math.exp(-k * x) * (x * x / k + 2.0 * x / k**2 + 2.0 / k**3)
+                     for k in range(1, 40))
+
+
+def _tight_field_force(index, h):
+    """-1/(2 pi^2 (2H)^4) int_0^inf J(n(t/2H) t) dt in s = sqrt(t), relative only."""
+    def integrand(s):
+        t = s * s
+        return 2.0 * s * _mode_j(index(t / (2.0 * h)) * t) if t > 0.0 else 0.0
+
+    value, _ = quad(integrand, 0.0, 10.0, epsabs=0.0, epsrel=1e-12, limit=500,
+                    points=(1e-4, 1e-3, 1e-2, 0.1, 1.0, 3.0))
+    return -value / (2.0 * math.pi**2 * (2.0 * h) ** 4)
+
+
+class TestLargeSeparationAccuracy:
+    """The force scales as H^-4, so only a relative tolerance means anything
+    at every H; an absolute one let large-H rows claim convergence."""
+
+    INDEX = {
+        "lorentz": lambda p0: math.sqrt(1.0 + 1.0 / (1.0 + p0 * p0 + 0.1 * p0)),
+        "drude": lambda p0: math.sqrt(1.0 + 1.0 / (p0 * p0 + 0.5 * p0)),
+    }
+    MEDIA = {"lorentz": LOR_01, "drude": DRUDE}
+
+    @pytest.mark.parametrize("label", ["lorentz", "drude"])
+    @pytest.mark.parametrize("h", [1e3, 1e4, 1e5])
+    def test_relative_error_at_default_spec(self, label, h):
+        spec = QuadratureSpec()
+        res = force_field_bc(ForceQuery(medium=self.MEDIA[label], separation=h,
+                                        spec=spec))
+        err = abs(res.force_per_area / _tight_field_force(self.INDEX[label], h) - 1.0)
+        if res.converged:
+            assert err <= spec.rel_tol
+        assert err <= 1e-9
 
 
 class TestPolarizationBoundaryCondition:

@@ -163,6 +163,13 @@ class TestTabulatedCoupling:
         assert model._g(1.0) == 3.0
         assert model._g(1.5) == 3.0
 
+    def test_interpolant_exact_at_nodes(self):
+        grid = (0.3, 0.7, 1.1, 2.9, 3.0)
+        g = (0.1, 0.37, 1.3, 0.05, 0.2)
+        model = TabulatedCoupling(omega_grid=grid, g_values=g)
+        assert [model._g(w) for w in grid] == list(g)
+        assert model._g(0.9) == pytest.approx(0.835, rel=1e-15)
+
     def test_chi_bar_matches_direct_quadrature(self):
         model = lorentz_tabulated()
         from casimir_medium import integrate_1d
@@ -236,6 +243,61 @@ class TestTabulatedCoupling:
         value_zero = model.chi_bar(0.0)
         value_tiny = model.chi_bar(1e-9)
         assert value_tiny == pytest.approx(value_zero, rel=1e-12)
+
+
+class TestArrayEvaluation:
+    """chi_bar and refractive_index on arrays match the scalar calls."""
+
+    MODELS = [
+        Constant(chi0=0.7),
+        Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1),
+        Drude(omega_p=1.0, gamma=0.5),
+        SharpResonance(omega_p=1.0, omega_0=2.0),
+        HAT_MODEL,
+    ]
+    XI = np.array([1e-9, 0.3, 1.0, 2.5, 40.0])
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_chi_bar_elementwise(self, model):
+        values = model.chi_bar(self.XI)
+        assert isinstance(values, np.ndarray) and values.shape == self.XI.shape
+        expected = [model.chi_bar(float(xi)) for xi in self.XI]
+        assert values.tolist() == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_scalar_in_float_out(self, model):
+        assert type(model.chi_bar(0.5)) is float
+        assert type(Medium(electric=model).refractive_index(FieldKind.EM, 0.5)) is float
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_domain_checked_elementwise(self, model, bad):
+        with pytest.raises(DomainError):
+            model.chi_bar(np.array([1.0, bad, 2.0]))
+
+    def test_drude_zero_inside_array(self):
+        with pytest.raises(DomainError):
+            Drude(omega_p=1.0, gamma=0.5).chi_bar(np.array([1.0, 0.0]))
+
+    def test_tabulated_static_point_inside_array(self):
+        values = HAT_MODEL.chi_bar(np.array([0.0, 1.0]))
+        assert values[0] == pytest.approx(HAT_MODEL.chi_bar(0.0), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", [FieldKind.SCALAR, FieldKind.EM])
+    def test_refractive_index_elementwise(self, kind):
+        medium = Medium(electric=Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1),
+                        magnetic=SharpResonance(omega_p=0.5, omega_0=1.0))
+        values = medium.refractive_index(kind, self.XI)
+        expected = [medium.refractive_index(kind, float(xi)) for xi in self.XI]
+        assert values.tolist() == pytest.approx(expected, rel=1e-15)
+
+    def test_instability_reports_first_unstable_frequency(self):
+        # chi_m(xi) = 2/(1 + xi^2) reaches 1 for xi <= 1
+        medium = Medium(electric=Constant(0.0),
+                        magnetic=SharpResonance(omega_p=math.sqrt(2.0), omega_0=1.0))
+        with pytest.raises(MediumInstabilityError) as err:
+            medium.refractive_index(FieldKind.EM, np.array([3.0, 0.5, 0.2]))
+        assert err.value.xi == 0.5
 
 
 class TestMedium:

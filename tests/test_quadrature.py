@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from casimir_medium import (
     inner_mode_integral,
     integrate_1d,
     integrate_2d_oracle,
+    integrate_exp_sinh,
     polylog,
 )
 from casimir_medium.quadrature import ZETA_3
@@ -168,6 +170,66 @@ class TestInnerModeIntegral:
         value = inner_mode_integral(a, h)
         assert value >= 0.0
         assert math.isfinite(value)
+
+
+class TestArrayModeIntegral:
+    A = np.array([0.0, 1e-9, 1e-3, 0.1, 0.143, 0.144, 1.0, 10.0, 400.0])
+
+    def test_matches_scalar_calls(self):
+        values = inner_mode_integral(self.A, 1.0)
+        expected = [inner_mode_integral(float(a), 1.0) for a in self.A]
+        assert values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_keeps_shape(self):
+        grid = self.A.reshape(3, 3)
+        assert inner_mode_integral(grid, 0.5).shape == (3, 3)
+        assert type(inner_mode_integral(0.5, 0.5)) is float
+
+    def test_against_mpmath(self):
+        for a in self.A[1:-1]:
+            ref = mp_inner_mode_integral(float(a), 0.25)
+            got = inner_mode_integral(np.array([a]), 0.25)[0]
+            assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_domain_checked_elementwise(self, bad):
+        with pytest.raises(DomainError):
+            inner_mode_integral(np.array([0.5, bad]), 1.0)
+
+
+class TestIntegrateExpSinh:
+    def test_exponential(self):
+        res = integrate_exp_sinh(lambda t: np.exp(-t), 1e-12)
+        assert res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-13)
+
+    def test_endpoint_singularity(self):
+        # t^-1/2 e^-t integrates to sqrt(pi); t = 0 is never a node
+        res = integrate_exp_sinh(lambda t: np.exp(-t) / np.sqrt(t), 1e-10)
+        assert res.converged
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
+
+    def test_bose_integral(self):
+        res = integrate_exp_sinh(lambda t: t**3 / np.expm1(t), 1e-9)
+        assert res.value == pytest.approx(math.pi**4 / 15.0, rel=1e-13)
+        assert res.error_estimate <= 1e-9 * res.value
+
+    def test_looser_tolerance_uses_fewer_nodes(self):
+        f = lambda t: t**3 / np.expm1(t)
+        loose = integrate_exp_sinh(f, 1e-3)
+        tight = integrate_exp_sinh(f, 1e-12)
+        assert loose.converged and tight.converged
+        assert loose.evaluations < tight.evaluations
+
+    def test_round_off_floor_refuses_unreachable_tolerance(self):
+        res = integrate_exp_sinh(lambda t: np.exp(-t), 1e-15)
+        assert not res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-13)
+        assert res.error_estimate > 1e-15
+
+    def test_nonfinite_integrand_raises(self):
+        with pytest.raises(IntegrationFailureError):
+            integrate_exp_sinh(lambda t: np.full(t.shape, math.nan), 1e-9)
 
 
 class TestIntegrate1D:
