@@ -182,6 +182,8 @@ def _cmd_force(args: argparse.Namespace) -> int:
     fmt = _resolve(args.format, config, "format", "csv")
     out = _resolve(args.out, config, "out", None)
     scale = float(_resolve(args.scale, config, "scale", 1.0))
+    if not math.isfinite(scale):
+        raise MediumFileError(f"scale must be finite, got {scale!r}")
 
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol)
     grid = _separation_grid(hmin, hmax, points, log)

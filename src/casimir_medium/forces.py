@@ -14,17 +14,22 @@ t = 2 H p0 this is -m/(2 pi^2 (2H)^4) integral_0^inf J(n(t/2H) t) dt with
 J(x) = (2H)^3 I, an O(1) integral at every separation.  Signs follow the
 attractive convention: forces are negative.
 
-The module also provides the slow independent routes used to check the fast
-one (a brute-force 2D integral, and a finite-difference derivative of the
-effective action) plus the force with boundary conditions imposed on the
-polarization field instead of the field itself.
+The force with boundary conditions imposed on the polarization field instead
+of the field itself has no closed inner integral; it runs the same exp-sinh
+rule at both levels of a nested integral in t and v = 2 H E.  The module also
+provides a slow independent route used only to check the fast one: a
+finite-difference derivative of the effective action, integrated by the
+brute-force 2D oracle.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DomainError, InvalidRegimeError
 from .medium import Constant, FieldKind, Medium, TabulatedCoupling, VACUUM
@@ -50,6 +55,19 @@ __all__ = [
 ]
 
 _PI2 = math.pi * math.pi
+# the force scales as H^-4, and H^4 is a normal double only in this range
+_SEPARATION_RANGE = (1e-75, 1e75)
+
+
+def _check_separation(separation: float) -> None:
+    if not (separation > 0.0 and math.isfinite(separation)):
+        raise DomainError(f"separation must be > 0, got {separation!r}")
+    lo, hi = _SEPARATION_RANGE
+    if not lo <= separation <= hi:
+        raise DomainError(
+            f"separation must lie in [{lo:g}, {hi:g}], where H**4 neither "
+            f"overflows nor underflows, got {separation!r}"
+        )
 
 
 class BoundaryCondition(enum.Enum):
@@ -76,10 +94,7 @@ class ForceQuery:
     em_polarization_multiplicity: int | None = None
 
     def __post_init__(self):
-        if not (self.separation > 0.0 and math.isfinite(self.separation)):
-            raise DomainError(
-                f"separation must be > 0, got {self.separation!r}"
-            )
+        _check_separation(self.separation)
         m = self.em_polarization_multiplicity
         if m is not None:
             if self.kind is FieldKind.SCALAR and m != 1:
@@ -124,8 +139,7 @@ class ModeLogDet:
 
 def vacuum_force_analytic(kind: FieldKind, separation: float) -> float:
     """Ideal-mirror vacuum force: -pi^2/(480 H^4) scalar, doubled for EM."""
-    if not (separation > 0.0 and math.isfinite(separation)):
-        raise DomainError(f"separation must be > 0, got {separation!r}")
+    _check_separation(separation)
     h4 = separation**4
     base = -_PI2 / (480.0 * h4)
     return 2.0 * base if kind is FieldKind.EM else base
@@ -184,13 +198,29 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         chi_bar^2(p0) E exp(-2EH) / (alpha - exp(-2EH)),
         alpha = E Im chi(p0) + chi_bar^2(p0),
 
-    integrated over (1/2 pi^2) q dq dp0.  The absorptive part is evaluated at
-    real frequency equal to the Euclidean one; that identification is kept in
-    one place (``_polarization_noise``) so it can be swapped out.  Where the
-    denominator loses positivity the medium is outside this boundary
-    condition's regime of validity and InvalidRegimeError is raised (modes
-    with zero coupling contribute nothing and are exempt).  A vanishing
-    electric response gives exactly zero force.
+    integrated over (1/2 pi^2) q dq dp0.  With q dq = E dE and the
+    scale-free variables t = 2 H p0 and v = 2 H E this is
+
+        F = -1/(2 pi^2 (2H)^4) integral_0^inf dt integral_{n t}^inf dv
+                chi_bar^2 v^2 exp(-v) / D,
+        D = (v/2H) Im chi + (chi_bar - 1)(chi_bar + 1) - expm1(-v),
+
+    with n = sqrt(1 + chi_bar) and D = alpha - exp(-2EH) written without
+    cancellation (the literal difference rounds to zero for chi_bar(0) = 1
+    media at the rule's smallest t).  Both integrals run on the exp-sinh
+    rule.  The p0-only factors are evaluated once per outer node, and the
+    inner integrals (in v - n t) of all new outer nodes of a pass are one
+    array of rows, each held to a tenth of ``rel_tol``; the outer rule gets
+    the other nine tenths, so ``converged`` means the error estimate, outer
+    plus inner, is within ``rel_tol`` of the force at every separation.
+
+    The absorptive part is evaluated at real frequency equal to the
+    Euclidean one; that identification is kept in one place
+    (``_polarization_noise``) so it can be swapped out.  Where D loses
+    positivity at any node the medium is outside this boundary condition's
+    regime of validity and InvalidRegimeError names the first such node
+    (modes with zero coupling contribute nothing and are exempt).  A
+    vanishing electric response gives exactly zero force.
     """
     if query.bc is not BoundaryCondition.POLARIZATION:
         raise DomainError("this route computes the polarization boundary condition")
@@ -210,41 +240,67 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         )
 
     electric = medium.electric
+    inv2h = 0.5 / h
+    inner_tol = 0.1 * query.spec.rel_tol
+    inner_evaluations, inner_rel_error, inner_converged = 0, 0.0, True
 
-    def integrand(p0: float, q: float) -> float:
+    def integrand(t):
+        # one inner integral per outer node t = 2 H p0, all in one rule call
+        nonlocal inner_evaluations, inner_rel_error, inner_converged
+        p0 = t * inv2h
         chi = electric.chi_bar(p0)
-        chi2 = chi * chi
-        if chi2 == 0.0:
-            return 0.0
-        energy = math.sqrt((1.0 + chi) * p0 * p0 + q * q)
-        decay = math.exp(-2.0 * energy * h)
-        alpha = energy * _polarization_noise(electric, p0) + chi2
-        den = alpha - decay
-        if den <= 0.0:
-            raise InvalidRegimeError(p0, q, den)
-        return q * chi2 * energy * decay / den
+        noise = _polarization_noise(electric, p0)
+        live = chi != 0.0  # zero-coupling modes add nothing and are exempt
+        p0, chi, noise = p0[live], chi[live], noise[live]
+        # one row per outer node: v = v0 + s with v0 = n t, s over [0, inf)
+        v0 = (np.sqrt(1.0 + chi) * t[live])[:, None]
+        chi2 = (chi * chi)[:, None]
+        gap = ((chi - 1.0) * (chi + 1.0))[:, None]
+        noise_per_v = (noise * inv2h)[:, None]
 
-    scale = 1.0 / (2.0 * h)
-    res = integrate_2d_oracle(
-        integrand, query.spec, outer_scale=scale, inner_scale=scale
-    )
-    force = -res.value / (2.0 * _PI2)
+        def rows(s):
+            v = v0 + s
+            den = v * noise_per_v + gap - np.expm1(-v)
+            invalid = den <= 0.0
+            if invalid.any():
+                i, j = np.unravel_index(np.argmax(invalid), den.shape)
+                q = math.sqrt(s[j] * (s[j] + 2.0 * v0[i, 0])) * inv2h
+                raise InvalidRegimeError(float(p0[i]), q, float(den[i, j]))
+            # exp(-v0) comes out of the row, so far rows do not underflow
+            return chi2 * v * v * np.exp(-s) / den
+
+        res = integrate_exp_sinh(rows, inner_tol)
+        inner_evaluations += res.evaluations * chi.size
+        inner_converged = inner_converged and bool(res.converged.all())
+        # rows are positive, so the largest relative row error bounds the
+        # inner part of the outer integral's error
+        inner_rel_error = max(
+            inner_rel_error, float(np.max(res.error_estimate / res.value, initial=0.0))
+        )
+        values = np.zeros(t.shape)
+        values[live] = res.value * np.exp(-v0[:, 0])
+        return values
+
+    res = integrate_exp_sinh(integrand, query.spec.rel_tol - inner_tol)
+    prefactor = inv2h**4 / (2.0 * _PI2)
+    force = -prefactor * res.value
     return ForceResult(
         separation=h,
         force_per_area=force,
-        error_estimate=res.error_estimate / (2.0 * _PI2),
-        evaluations=res.evaluations,
+        error_estimate=prefactor * (res.error_estimate + inner_rel_error * res.value),
+        evaluations=res.evaluations + inner_evaluations,
         vacuum_ratio=force / vacuum_force_analytic(FieldKind.SCALAR, h),
-        converged=res.converged,
+        converged=res.converged and inner_converged,
     )
 
 
-def _polarization_noise(model, p0: float) -> float:
+def _polarization_noise(model, p0):
     """Absorptive strength entering the polarization-pinned determinant.
 
     The Euclidean-frequency susceptibility is strictly real, so the noise
-    term is read off the real axis at omega = p0.  Models whose absorption
-    vanishes (lossless) contribute zero here.
+    term is read off the real axis at omega = p0 (an array of frequencies
+    gives an array).  Models whose absorption vanishes (lossless) contribute
+    zero here.
     """
     return model.im_chi(p0)
 
@@ -287,9 +343,14 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
             f"step must satisfy 0 < delta < separation, got {delta!r}"
         )
     medium, kind, h = query.medium, query.kind, query.separation
+    # the oracle sweeps q at fixed p0, so one cached gap serves a whole
+    # inner integral
+    gap = functools.lru_cache(maxsize=1)(
+        lambda p0: _gap_frequency(medium, kind, p0)
+    )
 
     def integrand(p0: float, q: float) -> float:
-        energy = math.hypot(_gap_frequency(medium, kind, p0), q)
+        energy = math.hypot(gap(p0), q)
         upper = math.log1p(-math.exp(-2.0 * energy * (h + delta)))
         lower = math.log1p(-math.exp(-2.0 * energy * (h - delta)))
         return q * (upper - lower) / (2.0 * delta)

@@ -70,10 +70,11 @@ class FieldKind(enum.Enum):
     EM = "em"
 
 
-# chi_bar and refractive_index take a float or an ndarray.  Where they must
-# tell the two apart they test ``type(x) is float`` first, inline: the nested
-# quadratures pass plain floats by the hundred thousand, and a helper call or
-# an isinstance check against ndarray would cost more than the arithmetic.
+# chi_bar, im_chi and refractive_index take a float or an ndarray.  Where
+# they must tell the two apart they test ``type(x) is float`` first, inline:
+# the QUADPACK routes (dispersion transform, oracles) pass plain floats one
+# at a time, and a helper call or an isinstance check against ndarray would
+# cost more than the arithmetic.
 
 
 def _check_xi(xi) -> None:
@@ -86,9 +87,24 @@ def _check_xi(xi) -> None:
         raise DomainError(f"imaginary-axis frequency must be >= 0, got {xi!r}")
 
 
-def _check_omega(omega: float) -> None:
+def _check_omega(omega) -> None:
+    if type(omega) is not float and isinstance(omega, np.ndarray):
+        valid = (omega > 0.0) & np.isfinite(omega)
+        if valid.all():
+            return
+        omega = float(omega[~valid].flat[0])
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError(f"real-axis frequency must be > 0, got {omega!r}")
+
+
+def _no_absorption(omega):
+    return np.zeros(omega.shape) if isinstance(omega, np.ndarray) else 0.0
+
+
+def _refuse_on_line(omega, line: float, message: str) -> None:
+    # a delta-function absorption line has no pointwise value on the line
+    if np.any(omega == line):
+        raise UnsupportedDistributionError(message)
 
 
 class SusceptibilityModel:
@@ -96,17 +112,17 @@ class SusceptibilityModel:
 
     Concrete models implement the Wick-rotated response ``chi_bar``, the
     real-axis absorptive part ``im_chi`` and the full complex retarded
-    response ``chi_real_axis``.  ``chi_bar`` also takes an ndarray of
-    frequencies and returns an array of the same shape; a float argument
-    gives a float.  Instances are immutable and safe to share across
-    threads.
+    response ``chi_real_axis``.  ``chi_bar`` and ``im_chi`` also take an
+    ndarray of frequencies and return an array of the same shape, with the
+    domain checked elementwise; a float argument gives a float.  Instances
+    are immutable and safe to share across threads.
     """
 
     def chi_bar(self, xi):
         """Susceptibility on the imaginary frequency axis, real and >= 0."""
         raise NotImplementedError
 
-    def im_chi(self, omega: float) -> float:
+    def im_chi(self, omega):
         """Absorptive part of the response at real frequency omega > 0."""
         raise NotImplementedError
 
@@ -148,9 +164,9 @@ class Constant(SusceptibilityModel):
             return np.full(xi.shape, float(self.chi0))
         return self.chi0
 
-    def im_chi(self, omega: float) -> float:
+    def im_chi(self, omega):
         _check_omega(omega)
-        return 0.0
+        return _no_absorption(omega)
 
     def chi_real_axis(self, omega: float) -> complex:
         return complex(self.chi0)
@@ -181,15 +197,15 @@ class Lorentz(SusceptibilityModel):
         wp2 = self.omega_p * self.omega_p
         return wp2 / (self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi)
 
-    def im_chi(self, omega: float) -> float:
+    def im_chi(self, omega):
         _check_omega(omega)
         if self.gamma == 0.0:
-            if omega == self.omega_0:
-                raise UnsupportedDistributionError(
-                    "lossless resonance has a delta-function absorption line; "
-                    "Im chi is not a number exactly on resonance"
-                )
-            return 0.0
+            _refuse_on_line(
+                omega, self.omega_0,
+                "lossless resonance has a delta-function absorption line; "
+                "Im chi is not a number exactly on resonance",
+            )
+            return _no_absorption(omega)
         wp2 = self.omega_p * self.omega_p
         d = self.omega_0 * self.omega_0 - omega * omega
         return wp2 * self.gamma * omega / (d * d + self.gamma**2 * omega * omega)
@@ -241,7 +257,7 @@ class Drude(SusceptibilityModel):
             )
         return self.omega_p * self.omega_p / (xi * xi + self.gamma * xi)
 
-    def im_chi(self, omega: float) -> float:
+    def im_chi(self, omega):
         _check_omega(omega)
         wp2 = self.omega_p * self.omega_p
         return wp2 * self.gamma / (omega * (omega * omega + self.gamma**2))
@@ -288,14 +304,14 @@ class SharpResonance(SusceptibilityModel):
         _check_xi(xi)
         return self.omega_p**2 / (self.omega_0**2 + xi * xi)
 
-    def im_chi(self, omega: float) -> float:
+    def im_chi(self, omega):
         _check_omega(omega)
-        if omega == self.omega_0:
-            raise UnsupportedDistributionError(
-                "absorption of a sharp line is a delta function; it has no "
-                "pointwise value on resonance"
-            )
-        return 0.0
+        _refuse_on_line(
+            omega, self.omega_0,
+            "absorption of a sharp line is a delta function; it has no "
+            "pointwise value on resonance",
+        )
+        return _no_absorption(omega)
 
     def chi_real_axis(self, omega: float) -> complex:
         d = self.omega_0**2 - omega * omega
@@ -346,8 +362,16 @@ class TabulatedCoupling(SusceptibilityModel):
         object.__setattr__(self, "_slopes", slopes)
         object.__setattr__(self, "_offsets", g[:-1] - slopes * w[:-1])
 
-    def _g(self, omega: float) -> float:
+    def _g(self, omega):
         w = self.omega_grid
+        if type(omega) is not float and isinstance(omega, np.ndarray):
+            grid, g = np.asarray(w), np.asarray(self.g_values)
+            # the scalar branch's segment and formula, elementwise
+            i = np.searchsorted(grid, omega, side="right") - 1
+            i = np.clip(i, 0, grid.size - 2)
+            inside = g[i] + (omega - grid[i]) * self._slopes[i]
+            inside = np.where(omega == w[-1], g[-1], inside)
+            return np.where((omega >= w[0]) & (omega <= w[-1]), inside, 0.0)
         if omega <= w[0] or omega >= w[-1]:
             # zero extrapolation, closed at the exact endpoints
             if omega == w[0]:
@@ -377,7 +401,7 @@ class TabulatedCoupling(SusceptibilityModel):
         total = np.sum(log_part + atan_part, axis=-1)
         return total if isinstance(xi, np.ndarray) else float(total)
 
-    def im_chi(self, omega: float) -> float:
+    def im_chi(self, omega):
         _check_omega(omega)
         return 0.5 * math.pi * self._g(omega) / omega
 

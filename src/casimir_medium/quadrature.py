@@ -8,16 +8,17 @@ The closed-form route for the force needs polylogarithms Li_1, Li_2, Li_3 on
 which reduces to polylogarithms of exp(-2 a H).  Both accept numpy arrays
 and share one implementation of the polylogarithm series.
 
-The frequency integral of the field-BC force runs on ``integrate_exp_sinh``,
-a nested double-exponential rule on the half-line that evaluates its
-integrand on whole arrays of nodes.  Everything else is adaptive
-Gauss-Kronrod integration (QUADPACK via scipy, imported on first use) wrapped
-so that semi-infinite domains are mapped by an explicit, configurable
-transform and results carry their own convergence metadata.
+The field-BC and polarization-BC forces run on ``integrate_exp_sinh``, a
+nested double-exponential rule on the half-line that evaluates its integrand
+on whole arrays of nodes, and on many integrands at once as rows of one
+array.  Everything else is adaptive Gauss-Kronrod integration (QUADPACK via
+scipy, imported on first use) wrapped so that semi-infinite domains are
+mapped by an explicit, configurable transform and results carry their own
+convergence metadata.
 
-The 2D integrator is a deliberately plain nested 1D scheme.  It is the
-independence oracle for the closed-form route and the workhorse for force
-variants that have no closed inner integral.
+The 2D integrator is a deliberately plain nested 1D scheme, kept only as an
+oracle: it integrates the finite-difference action route and checks the
+force routes in the tests, and no production route calls it.
 """
 
 from __future__ import annotations
@@ -112,8 +113,10 @@ class IntegralResult:
 
     ``converged`` implies ``error_estimate <= max(abs_tol, rel_tol*|value|)``
     for the adaptive routes and ``error_estimate <= rel_tol*|value|`` for
-    ``integrate_exp_sinh``.  An unconverged result still carries the best
-    estimate found within the budget.
+    ``integrate_exp_sinh``, row by row when it integrates several rows at
+    once (then ``value``, ``error_estimate`` and ``converged`` are arrays).
+    An unconverged result still carries the best estimate found within the
+    budget.
     """
 
     value: float
@@ -235,6 +238,7 @@ _DE_U_RANGE = (-4.5, 2.0)
 _DE_LEVELS = 7
 _DE_FIRST_LEVELS = 3
 _EPS = 2.0**-52  # double-precision machine epsilon
+_TINY = np.finfo(float).tiny
 
 
 def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -251,7 +255,23 @@ def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     return t, 0.5 * math.pi * np.cosh(u) * t, tuple(bounds)
 
 
+def _first_pass_sums() -> np.ndarray:
+    # column j gives S_j+1 from the nodes of levels 0..j in one product
+    count = _DE_BOUNDS[_DE_FIRST_LEVELS]
+    sums = np.zeros((count, _DE_FIRST_LEVELS))
+    for j in range(_DE_FIRST_LEVELS):
+        end = _DE_BOUNDS[j + 1]
+        sums[:end, j] = 0.5 ** (j + 1) * _DE_W[:end]
+    return sums
+
+
 _DE_T, _DE_W, _DE_BOUNDS = _exp_sinh_nodes()
+# S_k, the trapezoid sum of step 2^-k, obeys S_k+1 = S_k / 2 + 2^-(k+1) times
+# the sum of w f over level k's nodes, so each level's weights carry its step
+_DE_LEVEL_W = tuple(
+    0.5 ** (k + 1) * _DE_W[_DE_BOUNDS[k]:_DE_BOUNDS[k + 1]] for k in range(_DE_LEVELS)
+)
+_DE_FIRST_SUMS = _first_pass_sums()
 
 
 def integrate_exp_sinh(
@@ -259,7 +279,8 @@ def integrate_exp_sinh(
 ) -> IntegralResult:
     """Integral of ``f`` over [0, inf) by the nested exp-sinh rule.
 
-    ``f`` maps an array of nodes t > 0 to an array of values.  The trapezoid
+    ``f`` maps an array of K nodes t > 0 to K values, or to an (M, K) array
+    whose rows are M integrands sampled on the same nodes.  The trapezoid
     rule in u, with t = exp(pi/2 sinh u) and u in [-4.5, 2], converges
     doubly exponentially for integrands analytic on (0, inf) that decay
     exponentially, endpoint singularities at t = 0 included (Takahasi and
@@ -268,49 +289,59 @@ def integrate_exp_sinh(
     evaluates the three coarsest levels (steps 1/2, 1/4, 1/8: 53 nodes) in
     one call of ``f``; each further pass adds one level.
 
-    Error estimate, from the changes d_k = |S_k - S_k-1| of the level sums:
-    d_k itself at the first pass; from the second pass on, d_k times the
-    larger of the last two reduction ratios d_k/d_k-1 and d_k-1/d_k-2
-    (each capped at 1).  That bounds the error of S_k whenever the
-    convergence does not slow down, which holds for this rule's doubly
+    Error estimate, per row, from the changes d_k = |S_k - S_k-1| of the
+    level sums: d_k itself at the first pass; from the second pass on, d_k
+    times the larger of the last two reduction ratios d_k/d_k-1 and
+    d_k-1/d_k-2 (each capped at 1).  That bounds the error of S_k whenever
+    the convergence does not slow down, which holds for this rule's doubly
     exponential convergence, and one level that lands close to the value
     by chance cannot make it small.  A round-off floor N eps sum |w f| over
-    the N nodes used is added.  The rule stops once the estimate is within
-    ``rel_tol`` of the value, purely relative, or after the finest level
-    (step 1/128, 833 nodes), unconverged.
+    the N nodes used is added.  The rule stops once every row's estimate is
+    within ``rel_tol`` of its value, purely relative, or after the finest
+    level (step 1/128, 833 nodes), unconverged.
+
+    Returns
+    -------
+    IntegralResult
+        ``evaluations`` counts the nodes, the same for every row.  For a
+        one-row ``f`` the other fields are a float and a bool; for M rows,
+        ``value``, ``error_estimate`` and ``converged`` are arrays of M.
     """
-    sums: list[float] = []
-    total = magnitude = 0.0
-    level, add = 0, _DE_FIRST_LEVELS
+    last = _DE_BOUNDS[_DE_FIRST_LEVELS]
+    values = f(_DE_T[:last])
+    s1, s2, s = (values @ _DE_FIRST_SUMS).T
+    magnitude = np.abs(values) @ _DE_FIRST_SUMS[:, -1]
+    d = abs(s - s2)
+    ratio = _capped_ratio(d, abs(s2 - s1))
+    error, level = d, _DE_FIRST_LEVELS
     while True:
-        first, last = _DE_BOUNDS[level], _DE_BOUNDS[level + add]
-        values = f(_DE_T[first:last]) * _DE_W[first:last]
-        magnitude += float(np.abs(values).sum())
-        offsets = np.subtract(_DE_BOUNDS[level:level + add], first)
-        for part in np.add.reduceat(values, offsets):
-            level += 1
-            total += float(part)
-            sums.append(0.5**level * total)
-        value = sums[-1]
-        if not math.isfinite(value):
-            raise IntegrationFailureError(
-                "exp-sinh integral returned a non-finite value"
-            )
-        tail = sums[-4:]
-        d = [abs(b - a) for a, b in zip(tail, tail[1:])]
-        estimate = d[-1]
-        if level > _DE_FIRST_LEVELS:
-            estimate *= max(_ratio(d[-1], d[-2]), _ratio(d[-2], d[-3]))
-        error = estimate + last * _EPS * 0.5**level * magnitude
-        converged = error <= rel_tol * abs(value)
-        if converged or level == _DE_LEVELS:
-            return IntegralResult(value, error, last, converged)
-        add = 1
+        # magnitude holds 2^-level sum |w f|, so this is the round-off floor
+        error = error + last * _EPS * magnitude
+        converged = error <= rel_tol * abs(s)
+        done = converged.all()
+        if done or level == _DE_LEVELS:
+            break
+        first, last = last, _DE_BOUNDS[level + 1]
+        values = f(_DE_T[first:last])
+        weights = _DE_LEVEL_W[level]
+        level += 1
+        previous, s = s, 0.5 * s + values @ weights
+        magnitude = 0.5 * magnitude + np.abs(values) @ weights
+        d_previous, d = d, abs(s - previous)
+        previous_ratio, ratio = ratio, _capped_ratio(d, d_previous)
+        error = d * np.maximum(ratio, previous_ratio)
+    # a converged row is finite, so only an unconverged result can hide one
+    if not done and not np.isfinite(s).all():
+        raise IntegrationFailureError("exp-sinh integral returned a non-finite value")
+    if isinstance(s, np.ndarray):
+        return IntegralResult(s, error, last, converged)
+    return IntegralResult(float(s), float(error), last, bool(converged))
 
 
-def _ratio(newer: float, older: float) -> float:
-    # reduction of a level difference, capped at 1 (no reduction)
-    return newer / older if newer < older else 1.0
+def _capped_ratio(newer, older):
+    # newer/older capped at 1 (no reduction), elementwise; the tiny term
+    # only keeps 0/0 out, where the ratio multiplies a zero change anyway
+    return newer / (np.maximum(newer, older) + _TINY)
 
 
 def _map_point(x: float, a: float, scale: float, transform: Transform) -> float:
@@ -433,7 +464,7 @@ def integrate_2d_oracle(
     a full inner adaptive integral over ``q`` at a ten-times tighter
     tolerance.  The integrand receives the measure as-is (include any q
     factor in ``f`` itself).  Slow by design: this routine exists to check
-    closed-form reductions, not to be fast.
+    the force routes' reductions independently, not to be fast.
 
     Returns
     -------

@@ -160,6 +160,20 @@ class TestForceCommand:
         assert main(["force", "--points", "0"]) == 1
         assert "points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hmin", ["1e100", "1e-100"])
+    def test_separation_out_of_range(self, hmin, capsys):
+        # H**4 would overflow or underflow: a one-line error, not a traceback
+        assert main(["force", "--hmin", hmin]) == 1
+        err = capsys.readouterr().err
+        assert "separation" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_scale(self, raw, capsys):
+        assert main(["force", "--scale", raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale" in captured.err
+
     def test_bad_format(self, capsys):
         rc = main(["force", "--config", "/dev/null"])
         # /dev/null is not JSON at all
@@ -225,6 +239,14 @@ class TestConfigPrecedence:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert repr(key) in lines[0]
+
+    def test_non_finite_scale_in_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scale": NaN}')
+        assert main(["force", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "scale" in captured.err
 
     def test_env_rel_tol_applies_and_flag_wins(self, monkeypatch, capsys):
         assert main(["force"]) == 0
@@ -429,7 +451,7 @@ def _run_python(code, *args):
 
 def test_field_route_does_not_import_quadpack():
     # scipy.integrate is most of the import time; only the QUADPACK routes
-    # (polarization BC, dispersion transform, oracles) may load it
+    # (dispersion transform, oracles) may load it
     code = (
         "import sys; import casimir_medium.cli as cli; "
         "assert cli.main(['force', '--hmax', '2', '--points', '3']) == 0; "

@@ -1,12 +1,18 @@
 """Force routes: direct mode sums, the action route and the null results."""
 
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
+import casimir_medium
 from casimir_medium import (
     BoundaryCondition,
     Constant,
@@ -22,6 +28,7 @@ from casimir_medium import (
     force_field_bc,
     force_polarization_bc,
     force_via_action_fd,
+    integrate_2d_oracle,
     matter_only_force,
     mode_logdet,
     nondispersive_scaling_check,
@@ -186,7 +193,132 @@ class TestLargeSeparationAccuracy:
         assert err <= 1e-9
 
 
+def _oracle_polarization_force(model, h):
+    """The polarization-BC force as the nested QUADPACK oracle over (p0, q)."""
+    def integrand(p0, q):
+        chi = model.chi_bar(p0)
+        energy = math.sqrt((1.0 + chi) * p0 * p0 + q * q)
+        decay = math.exp(-2.0 * energy * h)
+        den = energy * model.im_chi(p0) + chi * chi - decay
+        return q * chi * chi * energy * decay / den
+
+    scale = 1.0 / (2.0 * h)
+    res = integrate_2d_oracle(integrand, QuadratureSpec(),
+                              outer_scale=scale, inner_scale=scale)
+    return -res.value / (2.0 * math.pi**2)
+
+
+def _tight_polarization_force(chi, im_chi, h):
+    """Same force in t = 2Hp0 and s = 2HE - n t, quad with relative tolerances only."""
+    inv2h = 0.5 / h
+
+    def outer(t):
+        p0 = t * inv2h
+        c, noise = chi(p0), im_chi(p0)
+        v0 = math.sqrt(1.0 + c) * t
+
+        def inner(s):
+            v = v0 + s
+            den = v * inv2h * noise + (c * c - 1.0) - math.expm1(-v)
+            return c * c * v * v * math.exp(-s) / den
+
+        value, _ = quad(inner, 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+        return value * math.exp(-v0)
+
+    with warnings.catch_warnings():
+        # a few far-tail inner integrals stall at round-off, far below the
+        # outer tolerance
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, error = quad(outer, 0.0, math.inf, epsabs=0.0, epsrel=1e-11, limit=400)
+    assert error <= 1e-10 * value
+    return -value * inv2h**4 / (2.0 * math.pi**2)
+
+
 class TestPolarizationBoundaryCondition:
+    LORENTZ = Medium(electric=Lorentz(omega_p=1.0, omega_0=1.0, gamma=1.0))
+    MEDIA = {"lorentz": LORENTZ, "drude": DRUDE}
+    # closed forms of the two media, written out for the reference
+    CHI = {
+        "lorentz": (lambda p0: 1.0 / (1.0 + p0 * p0 + p0),
+                    lambda w: w / ((1.0 - w * w) ** 2 + w * w)),
+        "drude": (lambda p0: 1.0 / (p0 * p0 + 0.5 * p0),
+                  lambda w: 0.5 / (w * (w * w + 0.25))),
+    }
+
+    @staticmethod
+    def _force(medium, h, spec=None):
+        return force_polarization_bc(ForceQuery(
+            medium=medium, bc=BoundaryCondition.POLARIZATION, separation=h,
+            spec=spec or QuadratureSpec(),
+        ))
+
+    @pytest.mark.parametrize("label", ["lorentz", "drude"])
+    @pytest.mark.parametrize("h", [1.4, 2.8])
+    def test_agrees_with_nested_oracle(self, label, h):
+        medium = self.MEDIA[label]
+        res = self._force(medium, h)
+        assert res.converged
+        oracle = _oracle_polarization_force(medium.electric, h)
+        assert res.force_per_area == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("label, h", [
+        ("lorentz", 12.0), ("drude", 16.0), ("drude", 1e3),
+    ])
+    def test_relative_error_at_default_spec(self, label, h):
+        # the nested QUADPACK route flagged these converged with errors
+        # up to 8e-8 (absolute tolerance) and 4e-4 (Drude at H = 1e3)
+        spec = QuadratureSpec()
+        res = self._force(self.MEDIA[label], h, spec)
+        reference = _tight_polarization_force(*self.CHI[label], h)
+        err = abs(res.force_per_area / reference - 1.0)
+        if res.converged:
+            assert err <= spec.rel_tol
+            assert res.error_estimate <= spec.rel_tol * abs(res.force_per_area)
+        assert err <= 1e-9
+
+    def test_small_separation_drude_converges(self):
+        res = self._force(DRUDE, 0.5)
+        assert res.converged
+        assert res.force_per_area == pytest.approx(
+            _tight_polarization_force(*self.CHI["drude"], 0.5), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("medium", [Medium(electric=Constant(1.0)), LORENTZ],
+                             ids=["constant", "lorentz"])
+    def test_no_false_refusal_where_chi_tends_to_one(self, medium):
+        # chi_bar(0) = 1: at the rule's smallest t the literal
+        # alpha - exp(-v) rounds to zero although the mode is valid
+        res = self._force(medium, 1.4)
+        assert res.converged and res.force_per_area < 0.0
+
+    @pytest.mark.parametrize("medium, h", [
+        (Medium(electric=Lorentz(omega_p=0.5, omega_0=1.0, gamma=0.05)), 0.2),
+        (Medium(electric=Lorentz(omega_p=0.5, omega_0=1.0, gamma=0.05)), 4.0),
+        (LORENTZ, 0.5),
+    ], ids=["weak-0.2", "weak-4", "lorentz-0.5"])
+    def test_refusal_names_a_mode_outside_the_regime(self, medium, h):
+        with pytest.raises(InvalidRegimeError) as err:
+            self._force(medium, h)
+        assert err.value.p0 > 0.0 and err.value.q >= 0.0
+        assert err.value.denominator <= 0.0
+
+    def test_inner_evaluations_counted(self):
+        res = self._force(self.LORENTZ, 1.4)
+        # every outer node runs an inner integral of at least 53 nodes
+        assert res.evaluations > 53 * 53
+
+    def test_route_does_not_import_quadpack(self):
+        code = (
+            "import sys; from casimir_medium import *; "
+            "force_polarization_bc(ForceQuery(medium=Medium(electric=Lorentz(1.0, 1.0, 1.0)), "
+            "bc=BoundaryCondition.POLARIZATION, separation=1.4)); "
+            "sys.exit(5 if 'scipy.integrate' in sys.modules else 0)"
+        )
+        src = str(Path(casimir_medium.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+
     def test_no_coupling_means_no_force(self):
         res = force_polarization_bc(
             ForceQuery(
@@ -362,6 +494,13 @@ class TestForceQueryValidation:
             ForceQuery(separation=0.0)
         with pytest.raises(DomainError):
             ForceQuery(separation=-2.0)
+
+    @pytest.mark.parametrize("h", [1e100, 1e-100])
+    def test_separation_where_h4_is_not_a_double(self, h):
+        with pytest.raises(DomainError, match="separation"):
+            ForceQuery(separation=h)
+        with pytest.raises(DomainError, match="separation"):
+            vacuum_force_analytic(FieldKind.SCALAR, h)
 
     def test_scalar_multiplicity_fixed(self):
         with pytest.raises(DomainError):

@@ -246,7 +246,7 @@ class TestTabulatedCoupling:
 
 
 class TestArrayEvaluation:
-    """chi_bar and refractive_index on arrays match the scalar calls."""
+    """chi_bar, im_chi and refractive_index on arrays match the scalar calls."""
 
     MODELS = [
         Constant(chi0=0.7),
@@ -290,6 +290,38 @@ class TestArrayEvaluation:
         values = medium.refractive_index(kind, self.XI)
         expected = [medium.refractive_index(kind, float(xi)) for xi in self.XI]
         assert values.tolist() == pytest.approx(expected, rel=1e-15)
+
+    IM_MODELS = MODELS + [Lorentz(omega_p=1.0, omega_0=1.2, gamma=0.0)]
+    # off every line, on and off the tabulated grid (nodes 0.5, 1, 2)
+    OMEGA = np.array([1e-9, 0.3, 0.5, 0.75, 1.0, 1.5, 2.5, 40.0])
+
+    @pytest.mark.parametrize("model", IM_MODELS, ids=lambda m: type(m).__name__)
+    def test_im_chi_elementwise(self, model):
+        values = model.im_chi(self.OMEGA)
+        assert isinstance(values, np.ndarray) and values.shape == self.OMEGA.shape
+        expected = [model.im_chi(float(w)) for w in self.OMEGA]
+        assert values.tolist() == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert type(model.im_chi(0.75)) is float
+
+    def test_tabulated_im_chi_exact_at_nodes(self):
+        nodes = np.array(HAT_MODEL.omega_grid)
+        expected = [0.5 * math.pi * g / w for w, g in zip(nodes, HAT_MODEL.g_values)]
+        assert HAT_MODEL.im_chi(nodes).tolist() == expected
+
+    @pytest.mark.parametrize("model", IM_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_im_chi_domain_checked_elementwise(self, model, bad):
+        with pytest.raises(DomainError, match="real-axis frequency"):
+            model.im_chi(np.array([1.5, bad, 2.5]))
+
+    @pytest.mark.parametrize("model", [
+        SharpResonance(omega_p=1.0, omega_0=2.0),
+        Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0),
+    ], ids=lambda m: type(m).__name__)
+    def test_line_inside_array_refused(self, model):
+        assert model.im_chi(np.array([1.0, 3.0])).tolist() == [0.0, 0.0]
+        with pytest.raises(UnsupportedDistributionError):
+            model.im_chi(np.array([1.0, 2.0, 3.0]))
 
     def test_instability_reports_first_unstable_frequency(self):
         # chi_m(xi) = 2/(1 + xi^2) reaches 1 for xi <= 1

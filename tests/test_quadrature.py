@@ -231,6 +231,32 @@ class TestIntegrateExpSinh:
         with pytest.raises(IntegrationFailureError):
             integrate_exp_sinh(lambda t: np.full(t.shape, math.nan), 1e-9)
 
+    def test_one_row_gives_plain_floats(self):
+        res = integrate_exp_sinh(lambda t: np.exp(-t), 1e-9)
+        assert type(res.value) is float and type(res.error_estimate) is float
+        assert type(res.converged) is bool
+
+    def test_rows_match_one_row_calls(self):
+        rates = np.array([0.5, 1.0, 3.0])
+        rows = integrate_exp_sinh(lambda t: np.exp(-np.outer(rates, t)), 1e-12)
+        assert rows.value.shape == rows.error_estimate.shape == (3,)
+        assert rows.converged.tolist() == [True, True, True]
+        for value, rate in zip(rows.value, rates):
+            one = integrate_exp_sinh(lambda t: np.exp(-rate * t), 1e-12)
+            assert value == pytest.approx(one.value, rel=1e-15)
+            assert value == pytest.approx(1.0 / rate, rel=1e-13)
+
+    def test_each_row_judged_on_its_own(self):
+        # a kink at t = 1 holds the trapezoid rule to algebraic convergence:
+        # that row stays unconverged and keeps the smooth row refining
+        rows = integrate_exp_sinh(
+            lambda t: np.stack([np.exp(-t), np.abs(t - 1.0) * np.exp(-t)]), 1e-12
+        )
+        assert rows.converged.tolist() == [True, False]
+        assert rows.evaluations == 833
+        assert rows.value[0] == pytest.approx(1.0, rel=1e-13)
+        assert rows.error_estimate[1] > 1e-12 * rows.value[1]
+
 
 class TestIntegrate1D:
     def test_finite_interval(self, default_spec):
