@@ -47,18 +47,14 @@ from .medium import (
     SusceptibilityModel,
     TabulatedCoupling,
     VACUUM,
-    chi_bar,
-    im_chi_real_axis,
     kk_imaginary_axis,
     load_medium,
     medium_from_dict,
-    refractive_index,
 )
 from .propagators import (
     Axis,
     CrossCorrelators,
     DysonPartialSum,
-    GapKernel,
     MomentumFrequencyPoint,
     PropagatorValue,
     cross_correlators,
@@ -66,7 +62,6 @@ from .propagators import (
     g0,
     g_omega,
     g_phiphi,
-    gap_kernel,
     reservoir_gap,
 )
 from .quadrature import (
@@ -95,7 +90,6 @@ __all__ = [
     "FieldKind",
     "ForceQuery",
     "ForceResult",
-    "GapKernel",
     "IntegralResult",
     "IntegrationFailureError",
     "InvalidRegimeError",
@@ -113,7 +107,6 @@ __all__ = [
     "Transform",
     "UnsupportedDistributionError",
     "VACUUM",
-    "chi_bar",
     "cross_correlators",
     "dyson_partial_sum",
     "force_field_bc",
@@ -122,8 +115,6 @@ __all__ = [
     "g0",
     "g_omega",
     "g_phiphi",
-    "gap_kernel",
-    "im_chi_real_axis",
     "inner_mode_integral",
     "integrate_1d",
     "integrate_2d_oracle",
@@ -135,7 +126,6 @@ __all__ = [
     "mode_logdet",
     "nondispersive_scaling_check",
     "polylog",
-    "refractive_index",
     "reservoir_gap",
     "vacuum_force_analytic",
     "__version__",

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 from .forces import BoundaryCondition, ForceQuery, force_field_bc, force_polarization_bc
 from .medium import FieldKind, Medium, VACUUM, load_medium
 from .propagators import (
+    DEFAULT_ETA,
     Axis,
     MomentumFrequencyPoint,
     cross_correlators,
@@ -59,36 +61,37 @@ _FORCE_COLUMNS = (
 )
 _PROPAGATOR_COLUMNS = ("axis", "kind", "k", "freq", "re", "im", "status")
 _PROPAGATOR_KINDS = ("G0", "Gomega", "Gphiphi", "GphiP", "GphiM", "GPP", "GMM")
-# what each --config key must hold: a JSON type, or the allowed strings
-_CONFIG_KEYS = {
-    "medium": str,
-    "field": ("scalar", "em"),
-    "bc": ("field", "polarization"),
-    "hmin": float,
-    "hmax": float,
-    "points": int,
-    "log": bool,
-    "rel_tol": float,
-    "abs_tol": float,
-    "format": ("csv", "json"),
-    "out": str,
-    "eta": float,
-    "scale": float,
-}
+
+
+class _Option(NamedTuple):
+    """One ``force`` option: the ``--key`` flag and the ``key`` of --config."""
+
+    key: str
+    kind: object  # str, float, int or bool, or a tuple of the allowed strings
+    default: object  # None: no value (medium, out) or derived (hmax, rel_tol)
+    help: str | None = None
+
+
+_FORCE_OPTIONS = (
+    _Option("medium", str, None, "path to a medium JSON file (default vacuum)"),
+    _Option("field", ("scalar", "em"), "scalar"),
+    _Option("bc", ("field", "polarization"), "field"),
+    _Option("hmin", float, 1.0, "smallest separation (default 1)"),
+    _Option("hmax", float, None, "largest separation"),
+    _Option("points", int, 1, "grid size (default 1)"),
+    _Option("log", bool, False, "log-spaced grid"),
+    _Option("rel_tol", float, None),
+    _Option("abs_tol", float, 1e-12),
+    _Option("format", ("csv", "json"), "csv"),
+    _Option("out", str, None, "write output to this file instead of stdout"),
+    _Option("scale", float, 1.0, "multiply emitted forces"),
+)
 _JSON_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer",
                     bool: "true or false"}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _resolve(flag, config: dict, key: str, fallback):
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return fallback
 
 
 def _load_config(path: str | None) -> dict:
@@ -103,34 +106,29 @@ def _load_config(path: str | None) -> dict:
         raise MediumFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
     if not isinstance(cfg, dict):
         raise MediumFileError(f"{path}: config must be a JSON object")
-    unknown = set(cfg) - set(_CONFIG_KEYS)
+    kinds = {opt.key: opt.kind for opt in _FORCE_OPTIONS}
+    unknown = set(cfg) - set(kinds)
     if unknown:
         raise MediumFileError(f"{path}: unknown config key {sorted(unknown)[0]!r}")
-    for key, value in cfg.items():
-        _check_config_value(path, key, value, _CONFIG_KEYS[key])
-    return cfg
+    return {key: _config_value(path, key, value, kinds[key])
+            for key, value in cfg.items()}
 
 
-def _check_config_value(path: str, key: str, value, expected) -> None:
-    if isinstance(expected, tuple):
-        if value not in expected:
-            raise MediumFileError(
-                f"{path}: config key {key!r} must be one of "
-                f"{', '.join(expected)}, got {value!r}"
-            )
-        return
-    # JSON true/false load as bool, a subclass of int: only "log" takes them
-    if expected is bool or isinstance(value, bool):
-        ok = expected is bool and isinstance(value, bool)
-    elif expected is float:
-        ok = isinstance(value, (int, float))
+def _config_value(path: str, key: str, value, kind):
+    """``value`` as the flag would give it, or MediumFileError naming ``key``."""
+    if isinstance(kind, tuple):
+        ok, wanted = value in kind, f"one of {', '.join(kind)}"
     else:
-        ok = isinstance(value, expected)
+        # JSON true/false load as bool, a subclass of int: only "log" takes them
+        ok = isinstance(value, bool) == (kind is bool) and isinstance(
+            value, (int, float) if kind is float else kind
+        )
+        wanted = _JSON_TYPE_NAMES[kind]
     if not ok:
         raise MediumFileError(
-            f"{path}: config key {key!r} must be {_JSON_TYPE_NAMES[expected]}, "
-            f"got {value!r}"
+            f"{path}: config key {key!r} must be {wanted}, got {value!r}"
         )
+    return value if isinstance(kind, tuple) else kind(value)
 
 
 def _env_rel_tol() -> float | None:
@@ -167,26 +165,33 @@ def _separation_grid(hmin: float, hmax: float, points: int, log: bool) -> list[f
     return [float(h) for h in grid]
 
 
-def _cmd_force(args: argparse.Namespace) -> int:
+def _force_settings(args: argparse.Namespace) -> dict:
+    """Each option from its flag, else --config, else its default."""
     config = _load_config(args.config)
-    medium_path = _resolve(args.medium, config, "medium", None)
-    medium = load_medium(medium_path) if medium_path else VACUUM
-    field = FieldKind(_resolve(args.field, config, "field", "scalar"))
-    bc = BoundaryCondition(_resolve(args.bc, config, "bc", "field"))
-    hmin = float(_resolve(args.hmin, config, "hmin", 1.0))
-    hmax = float(_resolve(args.hmax, config, "hmax", hmin))
-    points = int(_resolve(args.points, config, "points", 1))
-    log = bool(_resolve(args.log, config, "log", False))
-    rel_tol = float(_resolve(args.rel_tol, config, "rel_tol", _env_rel_tol() or 1e-9))
-    abs_tol = float(_resolve(args.abs_tol, config, "abs_tol", 1e-12))
-    fmt = _resolve(args.format, config, "format", "csv")
-    out = _resolve(args.out, config, "out", None)
-    scale = float(_resolve(args.scale, config, "scale", 1.0))
+    settings = {}
+    for opt in _FORCE_OPTIONS:
+        value = getattr(args, opt.key)
+        settings[opt.key] = config.get(opt.key, opt.default) if value is None else value
+    if settings["hmax"] is None:
+        settings["hmax"] = settings["hmin"]
+    if settings["rel_tol"] is None:
+        settings["rel_tol"] = _env_rel_tol() or 1e-9
+    return settings
+
+
+def _cmd_force(args: argparse.Namespace) -> int:
+    settings = _force_settings(args)
+    medium = load_medium(settings["medium"]) if settings["medium"] else VACUUM
+    field = FieldKind(settings["field"])
+    bc = BoundaryCondition(settings["bc"])
+    scale, out = settings["scale"], settings["out"]
     if not math.isfinite(scale):
         raise MediumFileError(f"scale must be finite, got {scale!r}")
 
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol)
-    grid = _separation_grid(hmin, hmax, points, log)
+    spec = QuadratureSpec(rel_tol=settings["rel_tol"], abs_tol=settings["abs_tol"])
+    grid = _separation_grid(
+        settings["hmin"], settings["hmax"], settings["points"], settings["log"]
+    )
     compute = force_field_bc if bc is BoundaryCondition.FIELD else force_polarization_bc
 
     rows = []
@@ -204,7 +209,7 @@ def _cmd_force(args: argparse.Namespace) -> int:
             }
         )
 
-    if fmt == "csv":
+    if settings["format"] == "csv":
         lines = [",".join(_FORCE_COLUMNS)]
         for row in rows:
             lines.append(
@@ -293,6 +298,12 @@ def _cmd_propagator(args: argparse.Namespace) -> int:
             )
     if not args.point:
         raise MediumFileError("at least one --point k,freq is required")
+    if not (args.eta >= 0.0 and math.isfinite(args.eta)):
+        raise MediumFileError(f"--eta must be finite and >= 0, got {args.eta!r}")
+    if not (args.omega_res > 0.0 and math.isfinite(args.omega_res)):
+        raise MediumFileError(
+            f"--omega-res must be finite and > 0, got {args.omega_res!r}"
+        )
 
     lines = [",".join(_PROPAGATOR_COLUMNS)]
     clean = True
@@ -342,22 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     force = sub.add_parser("force", help="force over a separation grid")
-    force.add_argument("--medium", help="path to a medium JSON file (default vacuum)")
-    force.add_argument("--field", choices=("scalar", "em"))
-    force.add_argument("--bc", choices=("field", "polarization"))
-    force.add_argument("--hmin", type=float, help="smallest separation (default 1)")
-    force.add_argument("--hmax", type=float, help="largest separation")
-    force.add_argument("--points", type=int, help="grid size (default 1)")
-    force.add_argument(
-        "--log", action=argparse.BooleanOptionalAction, help="log-spaced grid"
-    )
-    force.add_argument("--rel-tol", dest="rel_tol", type=float)
-    force.add_argument("--abs-tol", dest="abs_tol", type=float)
-    force.add_argument("--format", choices=("csv", "json"))
-    force.add_argument("--out", help="write output to this file instead of stdout")
-    force.add_argument("--eta", type=float, help="accepted for symmetry; "
-                       "the Euclidean force route needs no pole regulator")
-    force.add_argument("--scale", type=float, help="multiply emitted forces")
+    for opt in _FORCE_OPTIONS:
+        if opt.kind is bool:
+            how = {"action": argparse.BooleanOptionalAction}
+        elif isinstance(opt.kind, tuple):
+            how = {"choices": opt.kind}
+        else:
+            how = {"type": opt.kind}
+        # no argparse default: None marks a flag not given
+        force.add_argument("--" + opt.key.replace("_", "-"), help=opt.help, **how)
     force.add_argument("--config", help="JSON file with these options; flags win")
     force.set_defaults(handler=_cmd_force)
 
@@ -389,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="reservoir frequency for Gomega rows (momentum column is ignored)",
     )
-    prop.add_argument("--eta", type=float, default=1e-8, help="retarded pole shift")
+    prop.add_argument(
+        "--eta", type=float, default=DEFAULT_ETA, help="retarded pole shift"
+    )
     prop.add_argument("--out", help="write output to this file instead of stdout")
     prop.set_defaults(handler=_cmd_propagator)
     return parser

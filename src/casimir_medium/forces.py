@@ -44,7 +44,6 @@ __all__ = [
     "BoundaryCondition",
     "ForceQuery",
     "ForceResult",
-    "ModeLogDet",
     "vacuum_force_analytic",
     "force_field_bc",
     "force_polarization_bc",
@@ -91,23 +90,13 @@ class ForceQuery:
     bc: BoundaryCondition = BoundaryCondition.FIELD
     separation: float = 1.0
     spec: QuadratureSpec = field(default_factory=QuadratureSpec)
-    em_polarization_multiplicity: int | None = None
 
     def __post_init__(self):
         _check_separation(self.separation)
-        m = self.em_polarization_multiplicity
-        if m is not None:
-            if self.kind is FieldKind.SCALAR and m != 1:
-                raise DomainError(
-                    "a scalar field has exactly one polarization"
-                )
-            if m < 1:
-                raise DomainError(f"multiplicity must be >= 1, got {m!r}")
 
     @property
     def multiplicity(self) -> int:
-        if self.em_polarization_multiplicity is not None:
-            return self.em_polarization_multiplicity
+        """Contributing polarizations: 1 scalar, 2 EM."""
         return 2 if self.kind is FieldKind.EM else 1
 
 
@@ -126,15 +115,6 @@ class ForceResult:
     evaluations: int
     vacuum_ratio: float
     converged: bool
-
-
-@dataclass(frozen=True)
-class ModeLogDet:
-    """H-dependent part of one mode's two-plate log determinant."""
-
-    energy: float
-    separation: float
-    value: float
 
 
 def vacuum_force_analytic(kind: FieldKind, separation: float) -> float:
@@ -205,14 +185,15 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
                 chi_bar^2 v^2 exp(-v) / D,
         D = (v/2H) Im chi + (chi_bar - 1)(chi_bar + 1) - expm1(-v),
 
-    with n = sqrt(1 + chi_bar) and D = alpha - exp(-2EH) written without
-    cancellation (the literal difference rounds to zero for chi_bar(0) = 1
-    media at the rule's smallest t).  Both integrals run on the exp-sinh
-    rule.  The p0-only factors are evaluated once per outer node, and the
-    inner integrals (in v - n t) of all new outer nodes of a pass are one
-    array of rows, each held to a tenth of ``rel_tol``; the outer rule gets
-    the other nine tenths, so ``converged`` means the error estimate, outer
-    plus inner, is within ``rel_tol`` of the force at every separation.
+    with n(p0) the scalar refractive index (``Medium.refractive_index``) and
+    D = alpha - exp(-2EH) written without cancellation (the literal
+    difference rounds to zero for chi_bar(0) = 1 media at the rule's
+    smallest t).  Both integrals run on the exp-sinh rule.  The p0-only
+    factors are evaluated once per outer node, and the inner integrals (in
+    v - n t) of all new outer nodes of a pass are one array of rows, each
+    held to a tenth of ``rel_tol``; the outer rule gets the other nine
+    tenths, so ``converged`` means the error estimate, outer plus inner, is
+    within ``rel_tol`` of the force at every separation.
 
     The absorptive part is evaluated at real frequency equal to the
     Euclidean one; that identification is kept in one place
@@ -249,11 +230,12 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         nonlocal inner_evaluations, inner_rel_error, inner_converged
         p0 = t * inv2h
         chi = electric.chi_bar(p0)
+        n = medium.refractive_index(FieldKind.SCALAR, p0)
         noise = _polarization_noise(electric, p0)
         live = chi != 0.0  # zero-coupling modes add nothing and are exempt
-        p0, chi, noise = p0[live], chi[live], noise[live]
+        p0, chi, n, noise = p0[live], chi[live], n[live], noise[live]
         # one row per outer node: v = v0 + s with v0 = n t, s over [0, inf)
-        v0 = (np.sqrt(1.0 + chi) * t[live])[:, None]
+        v0 = (n * t[live])[:, None]
         chi2 = (chi * chi)[:, None]
         gap = ((chi - 1.0) * (chi + 1.0))[:, None]
         noise_per_v = (noise * inv2h)[:, None]
@@ -305,15 +287,13 @@ def _polarization_noise(model, p0):
     return model.im_chi(p0)
 
 
-def mode_logdet(energy: float, separation: float, bc: str = "dirichlet") -> ModeLogDet:
+def mode_logdet(energy: float, separation: float) -> float:
     """H-dependent part of one mode's log determinant: ln(1 - exp(-2EH)).
 
-    The Neumann variant differs only by an H-independent normalization
-    (regularized as a ratio of determinants), so both names return the same
-    value; the argument exists to make call sites explicit.
+    Dirichlet and Neumann mirrors differ only by an H-independent
+    normalization (regularized as a ratio of determinants), so this one value
+    serves both.
     """
-    if bc not in ("dirichlet", "neumann"):
-        raise DomainError(f"boundary condition must be dirichlet or neumann, got {bc!r}")
     if not (energy > 0.0 and math.isfinite(energy)):
         raise DomainError(f"mode energy must be > 0, got {energy!r}")
     if not (separation > 0.0 and math.isfinite(separation)):
@@ -321,8 +301,7 @@ def mode_logdet(energy: float, separation: float, bc: str = "dirichlet") -> Mode
             f"separation must be > 0, got {separation!r} "
             "(the determinant diverges at contact)"
         )
-    value = math.log1p(-math.exp(-2.0 * energy * separation))
-    return ModeLogDet(energy=energy, separation=separation, value=value)
+    return math.log1p(-math.exp(-2.0 * energy * separation))
 
 
 def force_via_action_fd(query: ForceQuery, delta: float) -> float:

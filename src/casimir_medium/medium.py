@@ -49,10 +49,7 @@ __all__ = [
     "Medium",
     "FieldKind",
     "VACUUM",
-    "chi_bar",
-    "im_chi_real_axis",
     "kk_imaginary_axis",
-    "refractive_index",
     "medium_from_dict",
     "load_medium",
 ]
@@ -463,15 +460,9 @@ class Medium(object):
     electric: SusceptibilityModel
     magnetic: SusceptibilityModel = Constant(0.0)
 
-    def chi_e_bar(self, xi: float) -> float:
-        return self.electric.chi_bar(xi)
-
-    def chi_m_bar(self, xi: float) -> float:
-        return self.magnetic.chi_bar(xi)
-
     def epsilon_bar(self, xi: float) -> float:
         """Permittivity 1 + chi_e on the imaginary axis."""
-        return 1.0 + self.chi_e_bar(xi)
+        return 1.0 + self.electric.chi_bar(xi)
 
     def mu_bar(self, xi):
         """Permeability 1/(1 - chi_m) on the imaginary axis.
@@ -479,7 +470,7 @@ class Medium(object):
         Raises MediumInstabilityError once chi_m reaches 1 (at the first
         such frequency of an array).
         """
-        chi_m = self.chi_m_bar(xi)
+        chi_m = self.magnetic.chi_bar(xi)
         if type(chi_m) is not float and isinstance(chi_m, np.ndarray):
             unstable = chi_m >= 1.0
             if unstable.any():
@@ -497,23 +488,13 @@ class Medium(object):
         frequencies, like ``chi_bar``.
         """
         if kind is FieldKind.SCALAR:
-            n2 = 1.0 + self.chi_e_bar(xi)
+            n2 = 1.0 + self.electric.chi_bar(xi)
         else:
             n2 = self.epsilon_bar(xi) * self.mu_bar(xi)
         return math.sqrt(n2) if type(n2) is float else np.sqrt(n2)
 
 
 VACUUM = Medium(Constant(0.0), Constant(0.0))
-
-
-def chi_bar(model: SusceptibilityModel, xi: float) -> float:
-    """Wick-rotated susceptibility of ``model`` at imaginary frequency xi."""
-    return model.chi_bar(xi)
-
-
-def im_chi_real_axis(model: SusceptibilityModel, omega: float) -> float:
-    """Absorptive part of the response at real frequency omega > 0."""
-    return model.im_chi(omega)
 
 
 def kk_imaginary_axis(
@@ -555,11 +536,6 @@ def kk_imaginary_axis(
             res.error_estimate,
         )
     return res.value
-
-
-def refractive_index(medium: Medium, kind: FieldKind, xi: float) -> float:
-    """Module-level alias for Medium.refractive_index."""
-    return medium.refractive_index(kind, xi)
 
 
 _MODEL_FIELDS = {

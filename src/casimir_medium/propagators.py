@@ -1,9 +1,8 @@
 """Momentum-space propagators of the field-matter system.
 
 Free field, matter reservoir, the dressed field propagator on both frequency
-axes, the mixed field-matter correlators, the geometric (self-energy
-resummation) series whose closed form the dressed propagator must reproduce,
-and the plate-to-plate gap kernel that feeds the force determinants.
+axes, the mixed field-matter correlators, and the geometric (self-energy
+resummation) series whose closed form the dressed propagator must reproduce.
 
 Conventions: momenta are magnitudes (k >= 0), the retarded prescription is a
 small imaginary shift eta in the denominator, and the Euclidean axis uses
@@ -30,20 +29,16 @@ __all__ = [
     "PropagatorValue",
     "CrossCorrelators",
     "DysonPartialSum",
-    "GapKernel",
     "DEFAULT_ETA",
     "g0",
     "g_omega",
     "g_phiphi",
     "cross_correlators",
     "dyson_partial_sum",
-    "gap_kernel",
     "reservoir_gap",
 ]
 
 DEFAULT_ETA = 1e-8
-
-_KINDS = ("G0", "Gomega", "Gphiphi", "GphiP", "GphiM", "GPP", "GMM")
 
 
 class Axis(enum.Enum):
@@ -120,29 +115,17 @@ class DysonPartialSum:
     converged: bool
 
 
-@dataclass(frozen=True)
-class GapKernel:
-    """Cross-plate entry of the dressed propagator at separation H.
-
-    ``energy`` is E = sqrt(n(p0)^2 p0^2 + q^2) for in-plane momentum q and
-    Euclidean frequency p0; ``value`` is exp(-E H)/(2 E).  ``prefactor`` is
-    the H-independent permeability factor of the EM field (1 for scalar); it
-    multiplies the kernel at every separation equally, so it cancels in any
-    force and is exposed separately rather than folded into ``value``.
-    """
-
-    energy: float
-    separation: float
-    value: float
-    prefactor: float
-
-
 def _sign(x: float) -> float:
     if x > 0.0:
         return 1.0
     if x < 0.0:
         return -1.0
     return 0.0
+
+
+def _check_eta(eta: float) -> None:
+    if not (eta >= 0.0 and math.isfinite(eta)):
+        raise DomainError(f"eta must be >= 0, got {eta!r}")
 
 
 def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
@@ -154,8 +137,7 @@ def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
     """
     if not (k >= 0.0 and math.isfinite(k)):
         raise DomainError(f"momentum magnitude must be >= 0, got {k!r}")
-    if not (eta >= 0.0 and math.isfinite(eta)):
-        raise DomainError(f"eta must be >= 0, got {eta!r}")
+    _check_eta(eta)
     scale = max(k * k, omega * omega)
     if scale <= 1e-24:
         raise DomainError("free propagator undefined at k = omega = 0")
@@ -178,8 +160,7 @@ def g_omega(omega_res: float, omega_prime: float, eta: float = DEFAULT_ETA) -> c
     """
     if not (omega_res > 0.0 and math.isfinite(omega_res)):
         raise DomainError(f"reservoir frequency must be > 0, got {omega_res!r}")
-    if not (eta >= 0.0 and math.isfinite(eta)):
-        raise DomainError(f"eta must be >= 0, got {eta!r}")
+    _check_eta(eta)
     d = omega_res * omega_res - omega_prime * omega_prime
     if eta == 0.0:
         if abs(d) <= 1e-12 * omega_res * omega_res:
@@ -208,9 +189,9 @@ def reservoir_gap(omega_res: float, separation: float) -> float:
 def _euclidean_denominator(
     medium: Medium, kind: FieldKind, k: float, xi: float
 ) -> float:
-    chi_e = medium.chi_e_bar(xi)
+    chi_e = medium.electric.chi_bar(xi)
     if kind is FieldKind.EM:
-        chi_m = medium.chi_m_bar(xi)
+        chi_m = medium.magnetic.chi_bar(xi)
         if chi_m >= 1.0:
             raise MediumInstabilityError(xi, chi_m)
     else:
@@ -231,6 +212,7 @@ def g_phiphi(
     same retarded shift as ``g0`` so the geometric resummation identity holds
     exactly at finite eta.  Scalar calculations take chi_m = 0.
     """
+    _check_eta(eta)
     k = point.k
     if point.axis is Axis.EUCLIDEAN:
         xi = point.frequency
@@ -334,39 +316,4 @@ def dyson_partial_sum(
     total = complex(math.fsum(res), math.fsum(ims))
     return DysonPartialSum(
         value=total, ratio=r, order=order, converged=abs(r) < 1.0
-    )
-
-
-def gap_kernel(
-    medium: Medium,
-    kind: FieldKind,
-    p0: float,
-    q: float,
-    separation: float,
-) -> GapKernel:
-    """Cross-plate dressed propagator entry at Euclidean frequency p0.
-
-    E = sqrt(n(p0)^2 p0^2 + q^2) with n the Euclidean refractive index for
-    the field content; the kernel is exp(-E H)/(2 E).  The EM field carries
-    an additional H-independent permeability prefactor, reported separately
-    because it divides out of every force expression.
-    """
-    if not (p0 >= 0.0 and math.isfinite(p0)):
-        raise DomainError(f"Euclidean frequency must be >= 0, got {p0!r}")
-    if not (q >= 0.0 and math.isfinite(q)):
-        raise DomainError(f"in-plane momentum must be >= 0, got {q!r}")
-    if not (separation >= 0.0 and math.isfinite(separation)):
-        raise DomainError(f"separation must be >= 0, got {separation!r}")
-    if p0 == 0.0 and q == 0.0:
-        raise DegenerateModeError("zero-energy mode has no gap kernel")
-    n = medium.refractive_index(kind, p0)
-    energy = math.hypot(n * p0, q)
-    if energy < 1e-300:
-        # 1/(2E) would overflow; treat the mode as degenerate rather than
-        # hand back an infinity
-        raise DegenerateModeError("zero-energy mode has no gap kernel")
-    prefactor = medium.mu_bar(p0) if kind is FieldKind.EM else 1.0
-    value = math.exp(-energy * separation) / (2.0 * energy)
-    return GapKernel(
-        energy=energy, separation=separation, value=value, prefactor=prefactor
     )

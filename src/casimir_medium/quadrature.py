@@ -94,7 +94,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
-    semi_infinite_transform: Transform = Transform.EXPONENTIAL
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
@@ -357,17 +356,17 @@ def integrate_1d(
     domain: tuple[float, float],
     spec: QuadratureSpec | None = None,
     *,
-    transform: Transform | None = None,
+    transform: Transform = Transform.EXPONENTIAL,
     scale: float = 1.0,
     points: Sequence[float] | None = None,
 ) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of ``f`` over ``domain``.
 
     Finite domains go straight to the adaptive rule.  Semi-infinite domains
-    (upper bound ``inf``) are first mapped onto (0, 1) by the transform named
-    in ``spec`` (or the ``transform`` override), with an optional length
-    ``scale`` matching the integrand's decay.  The underlying rule only ever
-    evaluates interior nodes, so integrable endpoint singularities are fine.
+    (upper bound ``inf``) are first mapped onto (0, 1) by ``transform``, with
+    an optional length ``scale`` matching the integrand's decay.  The
+    underlying rule only ever evaluates interior nodes, so integrable
+    endpoint singularities are fine.
 
     Parameters
     ----------
@@ -377,8 +376,8 @@ def integrate_1d(
         (a, b); b may be ``math.inf``.
     spec : QuadratureSpec, optional
         Tolerances and subdivision budget; defaults are tight.
-    transform : Transform, optional
-        Override for the semi-infinite change of variable.
+    transform : Transform
+        Change of variable for a semi-infinite domain (default exponential).
     scale : float
         Characteristic length of the transform, > 0.
     points : sequence of float, optional
@@ -399,8 +398,7 @@ def integrate_1d(
         raise DomainError(f"transform scale must be positive, got {scale!r}")
 
     if math.isinf(b):
-        tr = transform or spec.semi_infinite_transform
-        if tr is Transform.EXPONENTIAL:
+        if transform is Transform.EXPONENTIAL:
             def g(t: float) -> float:
                 w = 1.0 - t
                 return f(a - scale * math.log(w)) * scale / w
@@ -410,7 +408,7 @@ def integrate_1d(
                 return f(a + scale * t / w) * scale / (w * w)
         lo, hi = 0.0, 1.0
         if points is not None:
-            mapped = [_map_point(p, a, scale, tr) for p in points if p > a]
+            mapped = [_map_point(p, a, scale, transform) for p in points if p > a]
             pts = sorted(t for t in mapped if 0.0 < t < 1.0)
         else:
             pts = None

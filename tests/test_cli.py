@@ -40,6 +40,14 @@ def constant_json(tmp_path):
     return make
 
 
+def exit_code(argv):
+    """``main``'s return value, or the status of argparse's own exit."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
 def parse_csv(out):
     lines = out.strip().split("\n")
     header = lines[0].split(",")
@@ -167,12 +175,17 @@ class TestForceCommand:
         err = capsys.readouterr().err
         assert "separation" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("raw", ["nan", "inf"])
-    def test_non_finite_scale(self, raw, capsys):
-        assert main(["force", "--scale", raw]) == 1
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(["--scale", "nan"], "scale", id="nan"),
+        pytest.param(["--scale", "inf"], "scale", id="inf"),
+        # the Euclidean force route has no pole shift, so force takes no --eta
+        pytest.param(["--eta", "1"], "--eta", id="eta"),
+    ])
+    def test_non_finite_scale(self, argv, name, capsys):
+        assert exit_code(["force", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "scale" in captured.err
+        assert name in captured.err
 
     def test_bad_format(self, capsys):
         rc = main(["force", "--config", "/dev/null"])
@@ -229,6 +242,7 @@ class TestConfigPrecedence:
         ({"points": "abc"}, "points"),
         ({"field": "bogus"}, "field"),
         ({"rel_tol": "x"}, "rel_tol"),
+        ({"eta": 1}, "eta"),
     ])
     def test_bad_config_value_names_key(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
@@ -420,6 +434,20 @@ class TestPropagatorCommand:
     def test_unknown_kind(self, capsys):
         assert main(["propagator", "--point", "1,1", "--kinds", "Gxx"]) == 1
         assert "Gxx" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, raw", [
+        ("--eta", "nan"), ("--eta", "-1"), ("--eta", "inf"),
+        ("--omega-res", "0"), ("--omega-res", "-1"), ("--omega-res", "nan"),
+        ("--omega-res", "inf"),
+    ])
+    def test_bad_shift_or_reservoir_rejected(self, flag, raw, capsys):
+        rc = main(["propagator", "--point", "1,1", "--kinds", "Gphiphi,GphiP,GPP",
+                   flag, raw])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and flag in lines[0]
 
 
 def _run_entry_point(value, *args):

@@ -24,7 +24,6 @@ from casimir_medium import (
     g0,
     g_omega,
     g_phiphi,
-    gap_kernel,
     reservoir_gap,
 )
 
@@ -146,6 +145,19 @@ class TestDressedPropagator:
         with pytest.raises(DomainError):
             euclid_point(1.0, -1.0)
 
+    @pytest.mark.parametrize("eta", [-1.0, math.nan, math.inf])
+    def test_bad_shift_rejected_everywhere(self, eta):
+        # a negative shift would flip to the advanced prescription
+        point = real_point(1.0, 1.0)
+        with pytest.raises(DomainError, match="eta"):
+            g0(1.0, 1.0, eta)
+        with pytest.raises(DomainError, match="eta"):
+            g_omega(1.0, 1.0, eta)
+        with pytest.raises(DomainError, match="eta"):
+            g_phiphi(LORENTZ_MEDIUM, FieldKind.SCALAR, point, eta)
+        with pytest.raises(DomainError, match="eta"):
+            cross_correlators(LORENTZ_MEDIUM, point, eta)
+
 
 class TestCrossCorrelators:
     def test_vacuum_all_zero(self):
@@ -237,65 +249,6 @@ class TestDysonResummation:
     def test_euclidean_axis_rejected(self):
         with pytest.raises(DomainError):
             dyson_partial_sum(VACUUM, euclid_point(1.0, 1.0), order=3)
-
-
-class TestGapKernel:
-    def test_vacuum_touching_plates(self):
-        kernel = gap_kernel(VACUUM, FieldKind.SCALAR, 3.0, 4.0, 0.0)
-        assert kernel.energy == 5.0
-        assert kernel.value == pytest.approx(0.1, rel=1e-15)
-
-    def test_vacuum_unit_mode(self):
-        kernel = gap_kernel(VACUUM, FieldKind.SCALAR, 0.0, 1.0, 1.0)
-        assert kernel.value == pytest.approx(math.exp(-1.0) / 2.0, rel=1e-15)
-
-    def test_dressed_energy(self):
-        medium = Medium(electric=Constant(3.0))
-        kernel = gap_kernel(medium, FieldKind.SCALAR, 1.0, 0.0, 1.0)
-        assert kernel.energy == pytest.approx(2.0, rel=1e-15)
-        assert kernel.value == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-15)
-
-    def test_em_prefactor_reported_separately(self):
-        medium = Medium(electric=Constant(1.0), magnetic=Constant(0.5))
-        kernel = gap_kernel(medium, FieldKind.EM, 1.0, 0.0, 1.0)
-        assert kernel.prefactor == pytest.approx(2.0, rel=1e-15)
-        # n = 2, so the kernel itself is exp(-2)/4
-        assert kernel.value == pytest.approx(math.exp(-2.0) / 4.0, rel=1e-15)
-
-    def test_prefactor_is_separation_independent(self):
-        medium = Medium(electric=Constant(1.0), magnetic=Constant(0.5))
-        k1 = gap_kernel(medium, FieldKind.EM, 1.0, 0.5, 1.0)
-        k2 = gap_kernel(medium, FieldKind.EM, 1.0, 0.5, 7.0)
-        assert k1.prefactor == k2.prefactor
-
-    def test_zero_mode_rejected(self):
-        with pytest.raises(DegenerateModeError):
-            gap_kernel(VACUUM, FieldKind.SCALAR, 0.0, 0.0, 1.0)
-
-    def test_subnormal_energy_rejected(self):
-        # 1/(2E) would overflow; the kernel must refuse, not return inf
-        with pytest.raises(DegenerateModeError):
-            gap_kernel(VACUUM, FieldKind.SCALAR, 0.0, 5e-324, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            gap_kernel(VACUUM, FieldKind.SCALAR, -1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            gap_kernel(VACUUM, FieldKind.SCALAR, 1.0, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            gap_kernel(VACUUM, FieldKind.SCALAR, 1.0, 1.0, -1.0)
-
-    @given(
-        st.floats(min_value=1e-6, max_value=10.0),
-        st.floats(min_value=0.0, max_value=10.0),
-        st.floats(min_value=0.0, max_value=5.0),
-        st.floats(min_value=1e-3, max_value=5.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_decreasing_in_separation(self, p0, q, h, dh):
-        near = gap_kernel(VACUUM, FieldKind.SCALAR, p0, q, h)
-        far = gap_kernel(VACUUM, FieldKind.SCALAR, p0, q, h + dh)
-        assert far.value < near.value
 
 
 class TestPointValidation:
