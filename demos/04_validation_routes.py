@@ -4,7 +4,8 @@ The fast route reduces the in-plane momentum integral to polylogarithms and
 integrates over one frequency.  Everything else here exists to check it:
 a brute-force nested quadrature over both variables, a finite-difference
 derivative of the effective action, the polarization-pinned variant, and the
-matter-only null result.
+matter-only null result.  The brute-force quadrature is the QUADPACK
+oracle, so this script needs scipy, which comes with the ``test`` extra.
 """
 
 import math

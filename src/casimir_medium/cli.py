@@ -81,7 +81,6 @@ _FORCE_OPTIONS = (
     _Option("points", int, 1, "grid size (default 1)"),
     _Option("log", bool, False, "log-spaced grid"),
     _Option("rel_tol", float, None),
-    _Option("abs_tol", float, 1e-12),
     _Option("format", ("csv", "json"), "csv"),
     _Option("out", str, None, "write output to this file instead of stdout"),
     _Option("scale", float, 1.0, "multiply emitted forces"),
@@ -188,7 +187,7 @@ def _cmd_force(args: argparse.Namespace) -> int:
     if not math.isfinite(scale):
         raise MediumFileError(f"scale must be finite, got {scale!r}")
 
-    spec = QuadratureSpec(rel_tol=settings["rel_tol"], abs_tol=settings["abs_tol"])
+    spec = QuadratureSpec(rel_tol=settings["rel_tol"])
     grid = _separation_grid(
         settings["hmin"], settings["hmax"], settings["points"], settings["log"]
     )
@@ -210,20 +209,12 @@ def _cmd_force(args: argparse.Namespace) -> int:
         )
 
     if settings["format"] == "csv":
-        lines = [",".join(_FORCE_COLUMNS)]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(row["H"]),
-                        _fmt(row["force_per_area"]),
-                        _fmt(row["error_estimate"]),
-                        _fmt(row["vacuum_ratio"]),
-                        str(row["evaluations"]),
-                        "true" if row["converged"] else "false",
-                    )
-                )
-            )
+        # floats in full, the evaluation count as is, converged as true/false
+        lines = [",".join(_FORCE_COLUMNS)] + [
+            ",".join(_fmt(v) if isinstance(v, float) else str(v).lower()
+                     for v in row.values())
+            for row in rows
+        ]
         _write_out("\n".join(lines) + "\n", out)
     else:
         _write_out(json.dumps({"rows": rows}, indent=2) + "\n", out)
@@ -402,8 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits after --help (0) and malformed arguments (1)
+        return stop.code
     try:
         return args.handler(args)
     except (MediumInstabilityError, InvalidRegimeError) as err:

@@ -17,15 +17,14 @@ attractive convention: forces are negative.
 The force with boundary conditions imposed on the polarization field instead
 of the field itself has no closed inner integral; it runs the same exp-sinh
 rule at both levels of a nested integral in t and v = 2 H E.  The module also
-provides a slow independent route used only to check the fast one: a
-finite-difference derivative of the effective action, integrated by the
-brute-force 2D oracle.
+provides an independent route used only to check the field-BC one: a
+finite-difference derivative of the effective action, integrated over
+(t, 2 H q) by the same nested exp-sinh rule.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -36,7 +35,6 @@ from .medium import Constant, FieldKind, Medium, TabulatedCoupling, VACUUM
 from .quadrature import (
     QuadratureSpec,
     inner_mode_integral,
-    integrate_2d_oracle,
     integrate_exp_sinh,
 )
 
@@ -195,13 +193,13 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     tenths, so ``converged`` means the error estimate, outer plus inner, is
     within ``rel_tol`` of the force at every separation.
 
-    The absorptive part is evaluated at real frequency equal to the
-    Euclidean one; that identification is kept in one place
-    (``_polarization_noise``) so it can be swapped out.  Where D loses
-    positivity at any node the medium is outside this boundary condition's
-    regime of validity and InvalidRegimeError names the first such node
-    (modes with zero coupling contribute nothing and are exempt).  A
-    vanishing electric response gives exactly zero force.
+    The absorptive part is read off the real axis at a frequency equal to
+    the Euclidean one (chi_bar itself is strictly real; lossless models
+    contribute zero).  Where D loses positivity at any node the medium is
+    outside this boundary condition's regime of validity and
+    InvalidRegimeError names the first such node (modes with zero coupling
+    contribute nothing and are exempt).  A vanishing electric response
+    gives exactly zero force.
     """
     if query.bc is not BoundaryCondition.POLARIZATION:
         raise DomainError("this route computes the polarization boundary condition")
@@ -231,7 +229,7 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         p0 = t * inv2h
         chi = electric.chi_bar(p0)
         n = medium.refractive_index(FieldKind.SCALAR, p0)
-        noise = _polarization_noise(electric, p0)
+        noise = electric.im_chi(p0)
         live = chi != 0.0  # zero-coupling modes add nothing and are exempt
         p0, chi, n, noise = p0[live], chi[live], n[live], noise[live]
         # one row per outer node: v = v0 + s with v0 = n t, s over [0, inf)
@@ -276,17 +274,6 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     )
 
 
-def _polarization_noise(model, p0):
-    """Absorptive strength entering the polarization-pinned determinant.
-
-    The Euclidean-frequency susceptibility is strictly real, so the noise
-    term is read off the real axis at omega = p0 (an array of frequencies
-    gives an array).  Models whose absorption vanishes (lossless) contribute
-    zero here.
-    """
-    return model.im_chi(p0)
-
-
 def mode_logdet(energy: float, separation: float) -> float:
     """H-dependent part of one mode's log determinant: ln(1 - exp(-2EH)).
 
@@ -309,11 +296,14 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
 
     The effective action per unit area is -(m / 4 pi^2) times the (p0, q)
     integral of q ln(1 - exp(-2EH)); its H-derivative is the force.  The
-    central difference is applied per mode and integrated by the brute-force
-    2D scheme (differencing commutes with the integral, and differencing
-    first avoids cancellation between two large action values).  The
-    truncation error is O(delta^2) by construction, which is exactly what
-    this route exists to demonstrate against the closed-form one.
+    central difference is applied per mode (differencing commutes with the
+    integral, and differencing first avoids cancellation between two large
+    action values).  In t = 2 H p0 and r = 2 H q, with v = hypot(n t, r),
+    the integrand is r [ln(1 - exp(-v (1 + delta/H))) - (delta -> -delta)],
+    integrated like the polarization route: the r integrals of an outer
+    pass are the rows of one exp-sinh call, held to a tenth of ``rel_tol``.
+    The truncation error is O(delta^2) by construction, which is exactly
+    what this route exists to demonstrate against the closed-form one.
     """
     if query.bc is not BoundaryCondition.FIELD:
         raise DomainError("the action route computes the field boundary condition")
@@ -322,23 +312,27 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
             f"step must satisfy 0 < delta < separation, got {delta!r}"
         )
     medium, kind, h = query.medium, query.kind, query.separation
-    # the oracle sweeps q at fixed p0, so one cached gap serves a whole
-    # inner integral
-    gap = functools.lru_cache(maxsize=1)(
-        lambda p0: _gap_frequency(medium, kind, p0)
-    )
+    inv2h, step = 0.5 / h, delta / h
+    inner_tol = 0.1 * query.spec.rel_tol
 
-    def integrand(p0: float, q: float) -> float:
-        energy = math.hypot(gap(p0), q)
-        upper = math.log1p(-math.exp(-2.0 * energy * (h + delta)))
-        lower = math.log1p(-math.exp(-2.0 * energy * (h - delta)))
-        return q * (upper - lower) / (2.0 * delta)
+    def integrand(t):
+        # one r integral per outer node t, all in one rule call
+        nt = _gap_frequency(medium, kind, t * inv2h)[:, None] * (2.0 * h)
 
-    scale = 1.0 / (2.0 * h)
-    res = integrate_2d_oracle(
-        integrand, query.spec, outer_scale=scale, inner_scale=scale
-    )
-    return -query.multiplicity / (4.0 * _PI2) * res.value
+        def rows(r):
+            v = np.hypot(nt, r)
+            return r * (_log1mexp(v * (1.0 + step)) - _log1mexp(v * (1.0 - step)))
+
+        return integrate_exp_sinh(rows, inner_tol).value
+
+    res = integrate_exp_sinh(integrand, query.spec.rel_tol - inner_tol)
+    return -query.multiplicity / (4.0 * _PI2) * inv2h**3 / (2.0 * delta) * res.value
+
+
+def _log1mexp(x):
+    """ln(1 - exp(-x)) for x > 0, accurate at both ends (Maechler 2012)."""
+    with np.errstate(divide="ignore"):  # in the branch np.where drops
+        return np.where(x < math.log(2.0), np.log(-np.expm1(-x)), np.log1p(-np.exp(-x)))
 
 
 def nondispersive_scaling_check(

@@ -13,7 +13,9 @@ These two are linked by the Kramers-Kronig transform
 
     chi_bar(xi) = (2/pi) integral_0^inf w Im chi(w) / (w^2 + xi^2) dw,
 
-implemented here as an independent cross-check of every closed form.
+implemented here on the tanh-sinh rule as an independent cross-check of
+every closed form; nothing else here integrates numerically (the tabulated
+model's chi_bar and real-axis response are exact integrals).
 
 All quantities are in natural units (hbar = c = 1); frequencies carry an
 arbitrary common unit and susceptibilities are dimensionless.
@@ -21,7 +23,6 @@ arbitrary common unit and susceptibilities are dimensionless.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import json
 import math
@@ -37,7 +38,7 @@ from .errors import (
     PoleError,
     UnsupportedDistributionError,
 )
-from .quadrature import QuadratureSpec, Transform, integrate_1d
+from .quadrature import QuadratureSpec, integrate_tanh_sinh
 
 __all__ = [
     "SusceptibilityModel",
@@ -69,9 +70,9 @@ class FieldKind(enum.Enum):
 
 # chi_bar, im_chi and refractive_index take a float or an ndarray.  Where
 # they must tell the two apart they test ``type(x) is float`` first, inline:
-# the QUADPACK routes (dispersion transform, oracles) pass plain floats one
-# at a time, and a helper call or an isinstance check against ndarray would
-# cost more than the arithmetic.
+# integrands of the exported QUADPACK oracles pass plain floats one at a time
+# (some 2e5 refractive_index calls per 2D oracle force), and a helper call,
+# an isinstance check or an array round trip would cost more than the math.
 
 
 def _check_xi(xi) -> None:
@@ -335,8 +336,9 @@ class TabulatedCoupling(SusceptibilityModel):
 
     omega_grid: tuple[float, ...]
     g_values: tuple[float, ...]
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
     _slopes: np.ndarray = field(init=False, repr=False, compare=False)
-    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.omega_grid, dtype=float)
@@ -356,36 +358,24 @@ class TabulatedCoupling(SusceptibilityModel):
         object.__setattr__(self, "omega_grid", tuple(float(x) for x in w))
         object.__setattr__(self, "g_values", tuple(float(x) for x in g))
         slopes = np.diff(g) / np.diff(w)
+        object.__setattr__(self, "_nodes", w)
+        object.__setattr__(self, "_values", g)
         object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_offsets", g[:-1] - slopes * w[:-1])
 
     def _g(self, omega):
-        w = self.omega_grid
-        if type(omega) is not float and isinstance(omega, np.ndarray):
-            grid, g = np.asarray(w), np.asarray(self.g_values)
-            # the scalar branch's segment and formula, elementwise
-            i = np.searchsorted(grid, omega, side="right") - 1
-            i = np.clip(i, 0, grid.size - 2)
-            inside = g[i] + (omega - grid[i]) * self._slopes[i]
-            inside = np.where(omega == w[-1], g[-1], inside)
-            return np.where((omega >= w[0]) & (omega <= w[-1]), inside, 0.0)
-        if omega <= w[0] or omega >= w[-1]:
-            # zero extrapolation, closed at the exact endpoints
-            if omega == w[0]:
-                return self.g_values[0]
-            if omega == w[-1]:
-                return self.g_values[-1]
-            return 0.0
-        # segment [w[i], w[i+1]) holds omega; exact at every node
-        i = bisect.bisect_right(w, omega) - 1
-        g = self.g_values
-        return g[i] + (omega - w[i]) * ((g[i + 1] - g[i]) / (w[i + 1] - w[i]))
+        # zero outside the grid, closed at the end nodes, exact at every node
+        grid, g = self._nodes, self._values
+        i = np.clip(np.searchsorted(grid, omega, side="right") - 1, 0, grid.size - 2)
+        inside = np.where(omega == grid[-1], g[-1],
+                          g[i] + (omega - grid[i]) * self._slopes[i])
+        value = np.where((omega >= grid[0]) & (omega <= grid[-1]), inside, 0.0)
+        return value if isinstance(omega, np.ndarray) else float(value)
 
     def chi_bar(self, xi):
         _check_xi(xi)
-        w = np.asarray(self.omega_grid)
-        u1, u2 = w[:-1], w[1:]
-        m, b = self._slopes, self._offsets
+        u1, u2 = self._nodes[:-1], self._nodes[1:]
+        m = self._slopes
+        b = self._values[:-1] - m * u1
         # one row of segments per frequency
         x = np.asarray(xi, dtype=float)[..., None]
         xi2 = x * x
@@ -402,42 +392,46 @@ class TabulatedCoupling(SusceptibilityModel):
         _check_omega(omega)
         return 0.5 * math.pi * self._g(omega) / omega
 
-    def chi_real_axis(
-        self, omega: float, spec: QuadratureSpec | None = None
-    ) -> complex:
+    def chi_real_axis(self, omega: float) -> complex:
+        """Complex response at real frequency, with no quadrature.
+
+        The real part, PV integral g(u)/(u^2 - a^2) du with a = |omega|, has
+        the antiderivative m/2 ln|u^2 - a^2| + b/(2a) ln|(u - a)/(u + a)| on
+        a segment where g = m u + b.  Summed node by node, with dm and dg the
+        jumps of slope and g (left minus right, 0 outside the grid), node u
+        adds dm/(2a) [(u + a) ln(u + a) - (u - a) ln|u - a|] + dg/(2a)
+        ln|(u - a)/(u + a)|.  g is continuous, so dg = 0 at interior nodes
+        and a may sit on one; at an end node with g != 0 the principal value
+        diverges (PoleError).
+        """
         if omega == 0.0:
             return complex(self.chi_bar(0.0))
-        spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-10)
         a = abs(omega)
-        w0, w1 = self.omega_grid[0], self.omega_grid[-1]
-        if w0 < a < w1:
-            # principal value via singularity subtraction on
-            # g(u)/(u^2 - a^2) = [g(u)/(u+a)] / (u - a)
-            def h(u: float) -> float:
-                return self._g(u) / (u + a)
-
-            ha = h(a)
-
-            def reg(u: float) -> float:
-                if u == a:
-                    return 0.0
-                return (h(u) - ha) / (u - a)
-
-            pts = sorted(set(self.omega_grid[1:-1]) | {a})
-            res = integrate_1d(reg, (w0, w1), spec, points=pts)
-            real = res.value + ha * math.log((w1 - a) / (a - w0))
-        else:
-            def plain(u: float) -> float:
-                return self._g(u) / (u * u - a * a)
-
-            res = integrate_1d(plain, (w0, w1), spec,
-                               points=self.omega_grid[1:-1])
-            real = res.value
-        if not res.converged:
-            raise IntegrationFailureError(
-                "principal-value dispersion integral did not converge",
-                res.error_estimate,
+        u, g = self._nodes, self._values
+        slope_jump = -np.diff(self._slopes, prepend=0.0, append=0.0)
+        value_jump = np.zeros(u.size)
+        value_jump[[0, -1]] = -g[0], g[-1]
+        r = u / a
+        with np.errstate(all="ignore"):  # in the branch np.where drops
+            # ln|(u - a)/(u + a)| and ln|u^2 - a^2| - 2 ln a, each in the form
+            # that keeps full relative precision for u << a, u ~ a and u >> a
+            log_ratio = np.where(
+                (r < 0.5) | (r > 2.0),
+                np.log1p(-2.0 * np.minimum(r, 1.0) / (r + 1.0)),
+                np.log(np.abs(u - a) / (u + a)),
             )
+            log_product = np.where(
+                r < 0.5, np.log1p(-r * r), np.log(np.abs(u - a) / a) + np.log1p(r)
+            )
+            # the bracket that multiplies dm/(2a), less 2a ln a (the slope
+            # jumps sum to 0); it tends to 2a ln 2 as u -> a
+            kink = np.where(u == a, 2.0 * a * math.log(2.0),
+                            a * log_product - u * log_ratio)
+        if np.isinf(log_ratio[value_jump != 0.0]).any():
+            raise PoleError("principal value diverges at the band edge "
+                            f"omega = {float(omega)!r}")
+        log_ratio[value_jump == 0.0] = 0.0
+        real = (slope_jump @ kink + value_jump @ log_ratio) / (2.0 * a)
         imag = 0.5 * math.pi * self._g(a) / a * math.copysign(1.0, omega)
         return complex(real, imag)
 
@@ -502,9 +496,15 @@ def kk_imaginary_axis(
 ) -> float:
     """Imaginary-axis susceptibility from the absorptive real-axis data.
 
-    Evaluates (2/pi) integral_0^inf w Im chi(w) / (w^2 + xi^2) dw by adaptive
-    quadrature.  For every closed-form chi_bar this must agree with it; the
-    two routes share no code, which is the point.
+    Evaluates (2/pi) integral_0^inf w Im chi(w) / (w^2 + xi^2) dw in one
+    call of the tanh-sinh rule, one row per panel: the panels between 0,
+    the model's breakpoints, xi and its frequency scale, and the algebraic
+    tail [top, inf) mapped by w = top/x.  The rule judges the rows' sum
+    against the spec's ``rel_tol`` (a panel beyond a tabulated grid, zero
+    but at nodes that round onto the grid's closed end, never converges on
+    its own) and raises IntegrationFailureError if it is not met.  For
+    every closed-form chi_bar this must agree with it; the two routes share
+    no code, which is the point.
 
     Only models with genuine absorption qualify (delta lines and lossless
     constants have no integrable Im chi).
@@ -515,27 +515,22 @@ def kk_imaginary_axis(
             "dispersion transform needs a model with nonzero absorption"
         )
     spec = spec or QuadratureSpec()
-    xi2 = xi * xi
-    two_over_pi = 2.0 / math.pi
+    cuts = {*model._dispersion_breakpoints(), xi, model.frequency_scale()}
+    edges = np.array(sorted({0.0} | {w for w in cuts if w > 0.0}))
+    start, width, top = edges[:-1, None], np.diff(edges)[:, None], edges[-1]
 
-    def integrand(w: float) -> float:
-        return two_over_pi * w * model.im_chi(w) / (w * w + xi2)
+    def rows(x):
+        w = np.vstack((start + width * x, top / x))
+        dw_dx = np.vstack((np.broadcast_to(width, w[:-1].shape), w[-1] / x))
+        return np.sum(w * model.im_chi(w) / (w * w + xi * xi) * dw_dx, axis=0)
 
-    pts = sorted(set(model._dispersion_breakpoints()) | ({xi} if xi > 0 else set()))
-    res = integrate_1d(
-        integrand,
-        (0.0, math.inf),
-        spec,
-        transform=Transform.RATIONAL,
-        scale=model.frequency_scale(),
-        points=pts,
-    )
+    res = integrate_tanh_sinh(rows, spec.rel_tol)
     if not res.converged:
         raise IntegrationFailureError(
             f"dispersion integral at xi = {xi:g} did not converge",
             res.error_estimate,
         )
-    return res.value
+    return 2.0 / math.pi * res.value
 
 
 _MODEL_FIELDS = {

@@ -8,17 +8,15 @@ The closed-form route for the force needs polylogarithms Li_1, Li_2, Li_3 on
 which reduces to polylogarithms of exp(-2 a H).  Both accept numpy arrays
 and share one implementation of the polylogarithm series.
 
-The field-BC and polarization-BC forces run on ``integrate_exp_sinh``, a
-nested double-exponential rule on the half-line that evaluates its integrand
-on whole arrays of nodes, and on many integrands at once as rows of one
-array.  Everything else is adaptive Gauss-Kronrod integration (QUADPACK via
-scipy, imported on first use) wrapped so that semi-infinite domains are
-mapped by an explicit, configurable transform and results carry their own
-convergence metadata.
+Every integral the package computes runs on one nested double-exponential
+engine that evaluates its integrand on whole arrays of nodes, and many
+integrands at once as the rows of one array.  It has two node tables:
+``integrate_exp_sinh`` on the half-line (the force routes and the action
+route) and ``integrate_tanh_sinh`` on (0, 1) (the dispersion transform).
 
-The 2D integrator is a deliberately plain nested 1D scheme, kept only as an
-oracle: it integrates the finite-difference action route and checks the
-force routes in the tests, and no production route calls it.
+The exported oracles ``integrate_1d`` (QUADPACK via scipy, imported on first
+use; the ``test`` extra brings it) and ``integrate_2d_oracle``, built on it,
+serve only the tests: no package path calls them.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ __all__ = [
     "polylog",
     "inner_mode_integral",
     "integrate_exp_sinh",
+    "integrate_tanh_sinh",
     "integrate_1d",
     "integrate_2d_oracle",
     "ZETA_3",
@@ -87,8 +86,8 @@ class QuadratureSpec:
     """Tolerance and budget settings shared by all integrals.
 
     ``rel_tol`` governs every route.  ``abs_tol`` and ``max_subdivisions``
-    apply only to the adaptive QUADPACK routes (``integrate_1d`` and the 2D
-    oracle); ``integrate_exp_sinh`` is purely relative.
+    apply only to the exported QUADPACK oracles (``integrate_1d`` and the 2D
+    oracle); the double-exponential engine is purely relative.
     """
 
     rel_tol: float = 1e-9
@@ -111,9 +110,9 @@ class IntegralResult:
     """Value of an integral plus its convergence metadata.
 
     ``converged`` implies ``error_estimate <= max(abs_tol, rel_tol*|value|)``
-    for the adaptive routes and ``error_estimate <= rel_tol*|value|`` for
-    ``integrate_exp_sinh``, row by row when it integrates several rows at
-    once (then ``value``, ``error_estimate`` and ``converged`` are arrays).
+    for the QUADPACK oracles and ``error_estimate <= rel_tol*|value|`` for
+    the double-exponential rules, row by row for several rows at once (then
+    ``value``, ``error_estimate`` and ``converged`` are arrays).
     An unconverged result still carries the best estimate found within the
     budget.
     """
@@ -229,48 +228,53 @@ def inner_mode_integral(a, h: float):
     return value.reshape(gap.shape)
 
 
-# exp-sinh rule on [0, inf): t = exp(pi/2 sinh u), truncated to
-# u in [-4.5, 2], i.e. t from 2e-31 to 300.  Level k has step 2^-(k+1); its
-# nodes are the odd multiples of the step (all multiples for level 0).  The
-# nodes are stored level after level, so any run of levels is one slice.
-_DE_U_RANGE = (-4.5, 2.0)
+# Double-exponential rules (Takahasi and Mori, Publ. RIMS 9 (1974) 721;
+# Bailey, Jeyabalan and Li, Exp. Math. 14 (2005) 317): the trapezoid rule in
+# u after a change of variable x = phi(u), truncated to a finite u range.
+# Level k has step 2^-(k+1); its nodes are the odd multiples of the step in
+# the range (all multiples for level 0), stored level after level so that
+# any run of levels is one slice.  A table is (nodes, level bounds, level
+# weights, first-pass weights).
 _DE_LEVELS = 7
 _DE_FIRST_LEVELS = 3
 _EPS = 2.0**-52  # double-precision machine epsilon
 _TINY = np.finfo(float).tiny
 
 
-def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    lo, hi = _DE_U_RANGE
+def _node_table(lo: float, hi: float, phi) -> tuple:
+    # phi maps an array of u to (x, dx/du)
     us, bounds = [], [0]
     for k in range(_DE_LEVELS):
         step = 0.5 ** (k + 1)
-        count = round((hi - lo) / step)
-        index = np.arange(count + 1) if k == 0 else np.arange(1, count, 2)
-        us.append(lo + step * index)
-        bounds.append(bounds[-1] + index.size)
-    u = np.concatenate(us)
-    t = np.exp(0.5 * math.pi * np.sinh(u))
-    return t, 0.5 * math.pi * np.cosh(u) * t, tuple(bounds)
-
-
-def _first_pass_sums() -> np.ndarray:
-    # column j gives S_j+1 from the nodes of levels 0..j in one product
-    count = _DE_BOUNDS[_DE_FIRST_LEVELS]
-    sums = np.zeros((count, _DE_FIRST_LEVELS))
+        j = np.arange(math.ceil(lo / step), math.floor(hi / step) + 1)
+        us.append(step * (j if k == 0 else j[j % 2 == 1]))
+        bounds.append(bounds[-1] + us[-1].size)
+    x, w = phi(np.concatenate(us))
+    # S_k, the trapezoid sum of step 2^-k, obeys S_k+1 = S_k / 2 + 2^-(k+1)
+    # times the sum of w f over level k's nodes, so each level's weights
+    # carry its step; column j of the first-pass weights gives S_j+1
+    level_weights = [0.5 ** (k + 1) * w[bounds[k]:bounds[k + 1]] for k in range(_DE_LEVELS)]
+    first_sums = np.zeros((bounds[_DE_FIRST_LEVELS], _DE_FIRST_LEVELS))
     for j in range(_DE_FIRST_LEVELS):
-        end = _DE_BOUNDS[j + 1]
-        sums[:end, j] = 0.5 ** (j + 1) * _DE_W[:end]
-    return sums
+        first_sums[:bounds[j + 1], j] = 0.5 ** (j + 1) * w[:bounds[j + 1]]
+    return x, bounds, level_weights, first_sums
 
 
-_DE_T, _DE_W, _DE_BOUNDS = _exp_sinh_nodes()
-# S_k, the trapezoid sum of step 2^-k, obeys S_k+1 = S_k / 2 + 2^-(k+1) times
-# the sum of w f over level k's nodes, so each level's weights carry its step
-_DE_LEVEL_W = tuple(
-    0.5 ** (k + 1) * _DE_W[_DE_BOUNDS[k]:_DE_BOUNDS[k + 1]] for k in range(_DE_LEVELS)
-)
-_DE_FIRST_SUMS = _first_pass_sums()
+def _exp_sinh(u):
+    t = np.exp(0.5 * math.pi * np.sinh(u))
+    return t, 0.5 * math.pi * np.cosh(u) * t
+
+
+def _tanh_sinh(u):
+    # x = 1/(1 + e^-s) and 1 - x = 1/(1 + e^s) keep both ends off 0, where
+    # 0.5 (1 + tanh(s/2)) would round the left end to exactly 0
+    s = math.pi * np.sinh(u)
+    x = 1.0 / (1.0 + np.exp(-s))
+    return x, math.pi * np.cosh(u) * x / (1.0 + np.exp(s))
+
+
+_EXP_SINH = _node_table(-4.5, 2.0, _exp_sinh)  # t from 2e-31 to 300
+_TANH_SINH = _node_table(-3.2, 3.2, _tanh_sinh)  # x from 2e-17 to 1
 
 
 def integrate_exp_sinh(
@@ -279,37 +283,49 @@ def integrate_exp_sinh(
     """Integral of ``f`` over [0, inf) by the nested exp-sinh rule.
 
     ``f`` maps an array of K nodes t > 0 to K values, or to an (M, K) array
-    whose rows are M integrands sampled on the same nodes.  The trapezoid
-    rule in u, with t = exp(pi/2 sinh u) and u in [-4.5, 2], converges
-    doubly exponentially for integrands analytic on (0, inf) that decay
-    exponentially, endpoint singularities at t = 0 included (Takahasi and
-    Mori, Publ. RIMS 9 (1974) 721; Bailey, Jeyabalan and Li, Exp. Math. 14
-    (2005) 317).  Halving the step adds only the new nodes.  The first pass
-    evaluates the three coarsest levels (steps 1/2, 1/4, 1/8: 53 nodes) in
-    one call of ``f``; each further pass adds one level.
-
-    Error estimate, per row, from the changes d_k = |S_k - S_k-1| of the
-    level sums: d_k itself at the first pass; from the second pass on, d_k
-    times the larger of the last two reduction ratios d_k/d_k-1 and
-    d_k-1/d_k-2 (each capped at 1).  That bounds the error of S_k whenever
-    the convergence does not slow down, which holds for this rule's doubly
-    exponential convergence, and one level that lands close to the value
-    by chance cannot make it small.  A round-off floor N eps sum |w f| over
-    the N nodes used is added.  The rule stops once every row's estimate is
-    within ``rel_tol`` of its value, purely relative, or after the finest
-    level (step 1/128, 833 nodes), unconverged.
-
-    Returns
-    -------
-    IntegralResult
-        ``evaluations`` counts the nodes, the same for every row.  For a
-        one-row ``f`` the other fields are a float and a bool; for M rows,
-        ``value``, ``error_estimate`` and ``converged`` are arrays of M.
+    whose rows are M integrands sampled on the same nodes.  With t =
+    exp(pi/2 sinh u), u in [-4.5, 2], the rule converges doubly
+    exponentially for integrands analytic on (0, inf) that decay
+    exponentially, endpoint singularities at t = 0 included: 53 nodes,
+    then up to 833 (``_integrate_de`` has the refinement and error estimate).
+    ``evaluations`` counts the nodes, the same for every row.  For a one-row
+    ``f`` the other fields of the result are a float and a bool; for M rows,
+    ``value``, ``error_estimate`` and ``converged`` are arrays of M.
     """
-    last = _DE_BOUNDS[_DE_FIRST_LEVELS]
-    values = f(_DE_T[:last])
-    s1, s2, s = (values @ _DE_FIRST_SUMS).T
-    magnitude = np.abs(values) @ _DE_FIRST_SUMS[:, -1]
+    return _integrate_de(_EXP_SINH, f, rel_tol)
+
+
+def integrate_tanh_sinh(
+    f: Callable[[np.ndarray], np.ndarray], rel_tol: float
+) -> IntegralResult:
+    """Integral of ``f`` over (0, 1) by the nested tanh-sinh rule.
+
+    As ``integrate_exp_sinh``, on x = 1/(1 + exp(-pi sinh u)), u in
+    [-3.2, 3.2] (51 nodes, then up to 819); the nodes run from x = 2e-17 to
+    x = 1 after rounding, so endpoint singularities are fine to that extent.
+    """
+    return _integrate_de(_TANH_SINH, f, rel_tol)
+
+
+def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
+    """The refinement loop of both node tables.
+
+    The first pass evaluates levels 0-2 (steps 1/2 to 1/8) in one call of
+    ``f``; each further pass adds one level.  Error estimate, per row, from
+    the changes d_k = |S_k - S_k-1| of the level sums: d_k at the first
+    pass, then d_k times the larger of the last two reduction ratios
+    d_k/d_k-1 and d_k-1/d_k-2 (each capped at 1), which bounds the error
+    while the doubly exponential convergence does not slow down and cannot
+    be made small by one level landing near the value by chance; plus a
+    round-off floor N eps sum |w f| over the N nodes used.  It stops once
+    every row's estimate is within ``rel_tol`` of its value, purely
+    relative, or after the finest level (step 1/128), unconverged.
+    """
+    nodes, bounds, level_weights, first_sums = table
+    last = bounds[_DE_FIRST_LEVELS]
+    values = f(nodes[:last])
+    s1, s2, s = (values @ first_sums).T
+    magnitude = np.abs(values) @ first_sums[:, -1]
     d = abs(s - s2)
     ratio = _capped_ratio(d, abs(s2 - s1))
     error, level = d, _DE_FIRST_LEVELS
@@ -320,9 +336,9 @@ def integrate_exp_sinh(
         done = converged.all()
         if done or level == _DE_LEVELS:
             break
-        first, last = last, _DE_BOUNDS[level + 1]
-        values = f(_DE_T[first:last])
-        weights = _DE_LEVEL_W[level]
+        first, last = last, bounds[level + 1]
+        values = f(nodes[first:last])
+        weights = level_weights[level]
         level += 1
         previous, s = s, 0.5 * s + values @ weights
         magnitude = 0.5 * magnitude + np.abs(values) @ weights
@@ -331,7 +347,7 @@ def integrate_exp_sinh(
         error = d * np.maximum(ratio, previous_ratio)
     # a converged row is finite, so only an unconverged result can hide one
     if not done and not np.isfinite(s).all():
-        raise IntegrationFailureError("exp-sinh integral returned a non-finite value")
+        raise IntegrationFailureError("quadrature returned a non-finite value")
     if isinstance(s, np.ndarray):
         return IntegralResult(s, error, last, converged)
     return IntegralResult(float(s), float(error), last, bool(converged))
@@ -420,7 +436,7 @@ def integrate_1d(
         pts = sorted(p for p in points if lo < p < hi) if points else None
         func = f
 
-    from scipy.integrate import quad
+    from scipy.integrate import quad  # the test extra brings scipy
 
     out = quad(
         func,

@@ -40,14 +40,6 @@ def constant_json(tmp_path):
     return make
 
 
-def exit_code(argv):
-    """``main``'s return value, or the status of argparse's own exit."""
-    try:
-        return main(argv)
-    except SystemExit as stop:
-        return stop.code
-
-
 def parse_csv(out):
     lines = out.strip().split("\n")
     header = lines[0].split(",")
@@ -152,7 +144,7 @@ class TestForceCommand:
         assert rows[0]["converged"] == "true"
 
     def test_unconverged_exit_code(self, capsys):
-        rc = main(["force", "--rel-tol", "1e-15", "--abs-tol", "1e-300"])
+        rc = main(["force", "--rel-tol", "1e-15"])
         out = capsys.readouterr().out
         assert rc == 3
         _, rows = parse_csv(out)
@@ -180,9 +172,12 @@ class TestForceCommand:
         pytest.param(["--scale", "inf"], "scale", id="inf"),
         # the Euclidean force route has no pole shift, so force takes no --eta
         pytest.param(["--eta", "1"], "--eta", id="eta"),
+        # the force routes are purely relative, so force takes no --abs-tol
+        pytest.param(["--abs-tol", "1"], "--abs-tol", id="abs_tol"),
     ])
     def test_non_finite_scale(self, argv, name, capsys):
-        assert exit_code(["force", *argv]) == 1
+        # main returns argparse's status 1 instead of raising SystemExit
+        assert main(["force", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert name in captured.err
@@ -243,6 +238,7 @@ class TestConfigPrecedence:
         ({"field": "bogus"}, "field"),
         ({"rel_tol": "x"}, "rel_tol"),
         ({"eta": 1}, "eta"),
+        ({"abs_tol": 1}, "abs_tol"),
     ])
     def test_bad_config_value_names_key(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
@@ -477,16 +473,33 @@ def _run_python(code, *args):
     )
 
 
-def test_field_route_does_not_import_quadpack():
-    # scipy.integrate is most of the import time; only the QUADPACK routes
-    # (dispersion transform, oracles) may load it
+def test_field_route_does_not_import_quadpack(tmp_path):
+    # scipy is a test-only dependency: every command runs without it, and
+    # only the exported QUADPACK oracles may load it
+    lorentz = tmp_path / "lorentz.json"
+    lorentz.write_text(json.dumps({
+        "electric": {"type": "lorentz", "omega_p": 1.0, "omega_0": 1.0, "gamma": 1.0},
+        "magnetic": {"type": "lorentz", "omega_p": 0.3, "omega_0": 1.0, "gamma": 0.5},
+    }))
+    tabulated = tmp_path / "tabulated.json"
+    tabulated.write_text(json.dumps({
+        "electric": {"type": "tabulated", "omega_grid": [0.5, 1.0, 2.0],
+                     "g_values": [0.0, 1.0, 0.0]},
+    }))
     code = (
-        "import sys; import casimir_medium.cli as cli; "
+        "import sys; import casimir_medium.cli as cli; lor, tab = sys.argv[1:]; "
         "assert cli.main(['force', '--hmax', '2', '--points', '3']) == 0; "
-        "assert cli.main(['check', 'limits', 'dyson']) == 0; "
-        "sys.exit(5 if 'scipy.integrate' in sys.modules else 0)"
+        "assert cli.main(['force', '--medium', lor, '--bc', 'polarization', "
+        "'--hmin', '1.4']) == 0; "
+        "assert cli.main(['force', '--medium', lor, '--field', 'em']) == 0; "
+        "assert cli.main(['check']) == 0; "
+        "assert cli.main(['propagator', '--medium', tab, "
+        f"'--kinds', {','.join(cli_mod._PROPAGATOR_KINDS)!r}, "
+        "'--point', '0.4,0.3', '--point', '0.4,1.0', '--point', '0.4,1.3', "
+        "'--point', '0.4,2.5']) == 0; "
+        "sys.exit(5 if any(m.split('.')[0] == 'scipy' for m in sys.modules) else 0)"
     )
-    proc = _run_python(code)
+    proc = _run_python(code, str(lorentz), str(tabulated))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -511,6 +524,10 @@ def test_console_script_installed():
     assert proc.returncode == 1, proc.stderr
     assert "--points" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+    proc = _run_entry_point(value, "force", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
 
 
 @pytest.mark.skipif(

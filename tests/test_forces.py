@@ -183,6 +183,50 @@ class TestLargeSeparationAccuracy:
         assert err <= 1e-9
 
 
+class TestFarSeparationClosedForms:
+    """Far above the medium's wavelength only p0 <~ 1/H matters, so the
+    field-BC ratio to the vacuum force follows from n(p0) near p0 = 0.
+
+    With t = 2 H p0 and J(x) = integral_x^inf y^2/(e^y - 1) dy the ratio is
+    integral J(n(t/2H) t) dt / integral J(t) dt, the denominator pi^4/15.
+
+    * Drude: n^2 ~ wp^2/(gamma p0) as p0 -> 0, so n t = sqrt(s) with
+      s = 2 H wp^2 t / gamma.  Then integral J(sqrt(s)) ds = integral y^4/
+      (e^y - 1) dy = 24 zeta(5) by parts, and the ratio tends to
+      180 zeta(5) gamma / (pi^4 wp^2 H).  The next term is O(1/H^2).
+    * Lorentz: n(p0) = n0 + chi'(0) p0 / (2 n0) + O(p0^2), with
+      n0^2 = 1 + wp^2/w0^2 and chi'(0) = -wp^2 gamma / w0^4.  Expanding
+      J(n0 t + chi'(0) t^2/(4 n0 H)) with J'(x) = -x^2/(e^x - 1) gives the
+      ratio (1/n0)(1 - 90 zeta(5) chi'(0) / (pi^4 n0^3 H)) + O(1/H^2).
+
+    Each bound is the O(1/H^2) remainder, scaled from H = 1e3, plus rel_tol.
+    """
+
+    ZETA_5 = 1.0369277551433699263
+
+    @pytest.mark.parametrize("h", [1e3, 1e4, 1e5])
+    def test_drude(self, h):
+        wp, gamma = 1.0, 0.5
+        ratio = force_field_bc(
+            ForceQuery(medium=Medium(electric=Drude(wp, gamma)), separation=h)
+        ).vacuum_ratio
+        closed = 180.0 * self.ZETA_5 * gamma / (math.pi**4 * wp * wp * h)
+        assert abs(ratio / closed - 1.0) <= 1e-5 * (1e3 / h) ** 2 + 1e-9
+
+    @pytest.mark.parametrize("wp, w0, gamma", [
+        (1.0, 1.0, 0.1), (1.0, 1.0, 1.0), (2.0, 1.5, 0.3),
+    ])
+    @pytest.mark.parametrize("h", [1e3, 1e4, 1e5])
+    def test_lorentz(self, wp, w0, gamma, h):
+        ratio = force_field_bc(
+            ForceQuery(medium=Medium(electric=Lorentz(wp, w0, gamma)), separation=h)
+        ).vacuum_ratio
+        n0 = math.sqrt(1.0 + wp * wp / (w0 * w0))
+        slope = -wp * wp * gamma / w0**4
+        closed = (1.0 - 90.0 * self.ZETA_5 * slope / (math.pi**4 * n0**3 * h)) / n0
+        assert abs(ratio / closed - 1.0) <= 1e-6 * (1e3 / h) ** 2 + 1e-9
+
+
 def _oracle_polarization_force(model, h):
     """The polarization-BC force as the nested QUADPACK oracle over (p0, q)."""
     def integrand(p0, q):
@@ -446,6 +490,26 @@ class TestActionRoute:
         err_coarse = abs(force_via_action_fd(query, 1e-2) - direct)
         err_fine = abs(force_via_action_fd(query, 1e-3) - direct)
         assert 80.0 <= err_coarse / err_fine <= 120.0
+
+    @pytest.mark.parametrize("h", [0.5, 1.0, 3.0])
+    def test_matches_quadpack_reference(self, h):
+        # the route runs on the production route's quadrature engine; this
+        # reference integrates the same per-mode difference over (p0, q)
+        # with the QUADPACK oracle instead
+        delta = 1e-3 * h
+        index = TestLargeSeparationAccuracy.INDEX["lorentz"]
+
+        def integrand(p0, q):
+            energy = math.hypot(index(p0) * p0, q)
+            upper = math.log1p(-math.exp(-2.0 * energy * (h + delta)))
+            lower = math.log1p(-math.exp(-2.0 * energy * (h - delta)))
+            return q * (upper - lower) / (2.0 * delta)
+
+        scale = 1.0 / (2.0 * h)
+        ref = integrate_2d_oracle(integrand, QuadratureSpec(),
+                                  outer_scale=scale, inner_scale=scale)
+        got = force_via_action_fd(ForceQuery(medium=LOR_01, separation=h), delta)
+        assert got == pytest.approx(-ref.value / (4.0 * math.pi**2), rel=1e-8)
 
     def test_step_validation(self):
         query = ForceQuery(separation=1.0)

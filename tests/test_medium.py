@@ -225,17 +225,33 @@ class TestTabulatedCoupling:
                 )
             return total
 
-        for a in (0.7, 1.3, 1.9):
+        # inside the grid, then below and above it
+        for a in (0.7, 1.3, 1.9, 0.3, 2.5):
             got = HAT_MODEL.chi_real_axis(a)
             assert got.real == pytest.approx(pv_exact(HAT_MODEL, a), rel=1e-9)
             assert got.imag == pytest.approx(
                 0.5 * math.pi * HAT_MODEL._g(a) / a, rel=1e-12
+            )
+        # on the interior node a = 1.0 the log terms of the two segments
+        # cancel: finite there, and continuous across it
+        on_node = HAT_MODEL.chi_real_axis(1.0)
+        assert math.isfinite(on_node.real)
+        for a in (1.0 - 1e-9, 1.0 + 1e-9):
+            assert HAT_MODEL.chi_real_axis(a).real == pytest.approx(
+                on_node.real, rel=1e-6
             )
         coarse = lorentz_tabulated(n=41, w_max=20.0)
         for a in (0.8, 1.5):
             assert coarse.chi_real_axis(a).real == pytest.approx(
                 pv_exact(coarse, a), rel=1e-8
             )
+
+    def test_principal_value_diverges_at_a_band_edge(self):
+        # g jumps from 1 to 0 at each end of this grid
+        model = TabulatedCoupling(omega_grid=(0.5, 1.0, 2.0), g_values=(1.0, 1.0, 0.5))
+        for a in (0.5, 2.0):
+            with pytest.raises(PoleError, match="band edge"):
+                model.chi_real_axis(a)
 
     def test_small_xi_stability(self):
         # the arctan difference must not cancel at tiny xi
@@ -391,6 +407,14 @@ class TestKramersKronig:
         for xi in (0.1, 1.0, 10.0):
             via_kk = kk_imaginary_axis(HAT_MODEL, xi, default_spec)
             assert via_kk == pytest.approx(HAT_MODEL.chi_bar(xi), rel=1e-9)
+
+    def test_tabulated_closure_with_band_edges(self, default_spec):
+        # g jumps to zero at both ends of the grid, and xi = 10 puts a panel
+        # beyond it whose integrand is zero but for the closed end node
+        model = TabulatedCoupling(omega_grid=(0.5, 1.0, 2.0), g_values=(1.0, 1.0, 0.5))
+        for xi in (0.0, 0.1, 1.0, 10.0):
+            via_kk = kk_imaginary_axis(model, xi, default_spec)
+            assert via_kk == pytest.approx(model.chi_bar(xi), rel=1e-9)
 
 
 MODELS = st.sampled_from(
