@@ -14,14 +14,13 @@ from casimir_medium import (
     Constant,
     Drude,
     Lorentz,
-    SharpResonance,
     TabulatedCoupling,
     kk_imaginary_axis,
 )
 
 lorentz = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
 drude = Drude(omega_p=1.0, gamma=0.5)
-sharp = SharpResonance(omega_p=1.0, omega_0=2.0)
+sharp = Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0)  # lossless line
 constant = Constant(1.25)
 
 print("chi_bar on the imaginary axis")

@@ -43,7 +43,6 @@ from .medium import (
     FieldKind,
     Lorentz,
     Medium,
-    SharpResonance,
     SusceptibilityModel,
     TabulatedCoupling,
     VACUUM,
@@ -101,7 +100,6 @@ __all__ = [
     "PoleError",
     "PropagatorValue",
     "QuadratureSpec",
-    "SharpResonance",
     "SusceptibilityModel",
     "TabulatedCoupling",
     "Transform",

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidRegimeError
+from .errors import DomainError, IntegrationFailureError, InvalidRegimeError
 from .medium import Constant, FieldKind, Medium, TabulatedCoupling, VACUUM
 from .quadrature import (
     QuadratureSpec,
@@ -288,7 +288,7 @@ def mode_logdet(energy: float, separation: float) -> float:
             f"separation must be > 0, got {separation!r} "
             "(the determinant diverges at contact)"
         )
-    return math.log1p(-math.exp(-2.0 * energy * separation))
+    return float(_log1mexp(2.0 * energy * separation))
 
 
 def force_via_action_fd(query: ForceQuery, delta: float) -> float:
@@ -301,9 +301,10 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
     action values).  In t = 2 H p0 and r = 2 H q, with v = hypot(n t, r),
     the integrand is r [ln(1 - exp(-v (1 + delta/H))) - (delta -> -delta)],
     integrated like the polarization route: the r integrals of an outer
-    pass are the rows of one exp-sinh call, held to a tenth of ``rel_tol``.
-    The truncation error is O(delta^2) by construction, which is exactly
-    what this route exists to demonstrate against the closed-form one.
+    pass are the rows of one exp-sinh call, held to a tenth of ``rel_tol``;
+    if any misses its tolerance, or the outer rule does, it raises
+    IntegrationFailureError.  The truncation error is O(delta^2) by
+    construction, which is what this route exists to demonstrate.
     """
     if query.bc is not BoundaryCondition.FIELD:
         raise DomainError("the action route computes the field boundary condition")
@@ -314,18 +315,24 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
     medium, kind, h = query.medium, query.kind, query.separation
     inv2h, step = 0.5 / h, delta / h
     inner_tol = 0.1 * query.spec.rel_tol
+    inner_converged = True
 
     def integrand(t):
         # one r integral per outer node t, all in one rule call
+        nonlocal inner_converged
         nt = _gap_frequency(medium, kind, t * inv2h)[:, None] * (2.0 * h)
 
         def rows(r):
             v = np.hypot(nt, r)
             return r * (_log1mexp(v * (1.0 + step)) - _log1mexp(v * (1.0 - step)))
 
-        return integrate_exp_sinh(rows, inner_tol).value
+        res = integrate_exp_sinh(rows, inner_tol)
+        inner_converged = inner_converged and bool(res.converged.all())
+        return res.value
 
     res = integrate_exp_sinh(integrand, query.spec.rel_tol - inner_tol)
+    if not (res.converged and inner_converged):
+        raise IntegrationFailureError(f"action integral at H = {h:g} did not converge")
     return -query.multiplicity / (4.0 * _PI2) * inv2h**3 / (2.0 * delta) * res.value
 
 

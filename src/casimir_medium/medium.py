@@ -17,6 +17,9 @@ implemented here on the tanh-sinh rule as an independent cross-check of
 every closed form; nothing else here integrates numerically (the tabulated
 model's chi_bar and real-axis response are exact integrals).
 
+A lossless sharp line is Lorentz with gamma = 0.  The medium-file schema is
+read off the model classes' fields.
+
 All quantities are in natural units (hbar = c = 1); frequencies carry an
 arbitrary common unit and susceptibilities are dimensionless.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -45,7 +48,6 @@ __all__ = [
     "Constant",
     "Lorentz",
     "Drude",
-    "SharpResonance",
     "TabulatedCoupling",
     "Medium",
     "FieldKind",
@@ -99,12 +101,6 @@ def _no_absorption(omega):
     return np.zeros(omega.shape) if isinstance(omega, np.ndarray) else 0.0
 
 
-def _refuse_on_line(omega, line: float, message: str) -> None:
-    # a delta-function absorption line has no pointwise value on the line
-    if np.any(omega == line):
-        raise UnsupportedDistributionError(message)
-
-
 class SusceptibilityModel:
     """Base class for the oscillator-continuum response models.
 
@@ -132,10 +128,6 @@ class SusceptibilityModel:
     def has_absorption(self) -> bool:
         """True when im_chi is a genuine function (not zero or a delta)."""
         return False
-
-    def frequency_scale(self) -> float:
-        """Characteristic frequency of the model, used to scale quadrature."""
-        return 1.0
 
     def _dispersion_breakpoints(self) -> tuple[float, ...]:
         # frequencies where real-axis integrands have structure
@@ -175,7 +167,8 @@ class Lorentz(SusceptibilityModel):
     """Damped resonance: chi(w) = omega_p^2 / (omega_0^2 - w^2 - i gamma w).
 
     On the imaginary axis chi_bar(xi) = omega_p^2/(omega_0^2 + xi^2 + gamma xi).
-    gamma = 0 degenerates to a lossless sharp resonance.
+    gamma = 0 is the lossless sharp line (file type ``sharp_resonance``):
+    delta-function absorption at omega_0, and a real-axis pole there.
     """
 
     omega_p: float
@@ -198,11 +191,11 @@ class Lorentz(SusceptibilityModel):
     def im_chi(self, omega):
         _check_omega(omega)
         if self.gamma == 0.0:
-            _refuse_on_line(
-                omega, self.omega_0,
-                "lossless resonance has a delta-function absorption line; "
-                "Im chi is not a number exactly on resonance",
-            )
+            if np.any(omega == self.omega_0):
+                raise UnsupportedDistributionError(
+                    "lossless resonance has a delta-function absorption line; "
+                    "Im chi is not a number exactly on resonance"
+                )
             return _no_absorption(omega)
         wp2 = self.omega_p * self.omega_p
         d = self.omega_0 * self.omega_0 - omega * omega
@@ -210,19 +203,16 @@ class Lorentz(SusceptibilityModel):
 
     def chi_real_axis(self, omega: float) -> complex:
         wp2 = self.omega_p * self.omega_p
-        den = complex(
-            self.omega_0 * self.omega_0 - omega * omega, -self.gamma * omega
-        )
-        if den == 0:
+        d = self.omega_0 * self.omega_0 - omega * omega
+        if self.gamma > 0.0:
+            return wp2 / complex(d, -self.gamma * omega)
+        if d == 0.0:  # lossless: real, Im = +0 as in the gamma -> 0+ limit
             raise PoleError(f"undamped resonance pole at omega = {omega!r}")
-        return wp2 / den
+        return complex(wp2 / d)
 
     @property
     def has_absorption(self) -> bool:
         return self.gamma > 0.0
-
-    def frequency_scale(self) -> float:
-        return max(self.omega_p, self.omega_0, self.gamma)
 
     def _dispersion_breakpoints(self) -> tuple[float, ...]:
         w0, g = self.omega_0, self.gamma
@@ -270,58 +260,11 @@ class Drude(SusceptibilityModel):
     def has_absorption(self) -> bool:
         return True
 
-    def frequency_scale(self) -> float:
-        return max(self.omega_p, self.gamma)
-
     def _dispersion_breakpoints(self) -> tuple[float, ...]:
         return (self.gamma,)
 
     def _im_chi_zero_limit(self) -> float:
         raise DomainError("free-carrier absorption diverges as omega -> 0")
-
-
-@dataclass(frozen=True)
-class SharpResonance(SusceptibilityModel):
-    """Single undamped oscillator line at omega_0 with weight omega_p^2.
-
-    The coupling density is a delta function, so chi_bar is a plain pole-free
-    closed form while the real-axis absorption is distributional: off
-    resonance it is zero, exactly on resonance it has no pointwise value.
-    """
-
-    omega_p: float
-    omega_0: float
-
-    def __post_init__(self):
-        if not (self.omega_p > 0.0 and math.isfinite(self.omega_p)):
-            raise DomainError(f"omega_p must be > 0, got {self.omega_p!r}")
-        if not (self.omega_0 > 0.0 and math.isfinite(self.omega_0)):
-            raise DomainError(f"omega_0 must be > 0, got {self.omega_0!r}")
-
-    def chi_bar(self, xi):
-        _check_xi(xi)
-        return self.omega_p**2 / (self.omega_0**2 + xi * xi)
-
-    def im_chi(self, omega):
-        _check_omega(omega)
-        _refuse_on_line(
-            omega, self.omega_0,
-            "absorption of a sharp line is a delta function; it has no "
-            "pointwise value on resonance",
-        )
-        return _no_absorption(omega)
-
-    def chi_real_axis(self, omega: float) -> complex:
-        d = self.omega_0**2 - omega * omega
-        if abs(d) <= 1e-12 * self.omega_0**2:
-            raise PoleError(f"sharp resonance pole at omega = {omega!r}")
-        return complex(self.omega_p**2 / d)
-
-    def frequency_scale(self) -> float:
-        return max(self.omega_p, self.omega_0)
-
-    def _dispersion_breakpoints(self) -> tuple[float, ...]:
-        return (self.omega_0,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,9 +382,6 @@ class TabulatedCoupling(SusceptibilityModel):
     def has_absorption(self) -> bool:
         return any(v > 0.0 for v in self.g_values)
 
-    def frequency_scale(self) -> float:
-        return self.omega_grid[-1]
-
     def _dispersion_breakpoints(self) -> tuple[float, ...]:
         # every node is a kink of the interpolant
         return self.omega_grid
@@ -498,8 +438,8 @@ def kk_imaginary_axis(
 
     Evaluates (2/pi) integral_0^inf w Im chi(w) / (w^2 + xi^2) dw in one
     call of the tanh-sinh rule, one row per panel: the panels between 0,
-    the model's breakpoints, xi and its frequency scale, and the algebraic
-    tail [top, inf) mapped by w = top/x.  The rule judges the rows' sum
+    the model's breakpoints and xi, and the algebraic tail [top, inf)
+    mapped by w = top/x.  The rule judges the rows' sum
     against the spec's ``rel_tol`` (a panel beyond a tabulated grid, zero
     but at nodes that round onto the grid's closed end, never converges on
     its own) and raises IntegrationFailureError if it is not met.  For
@@ -507,15 +447,18 @@ def kk_imaginary_axis(
     no code, which is the point.
 
     Only models with genuine absorption qualify (delta lines and lossless
-    constants have no integrable Im chi).
+    constants have no integrable Im chi); at xi = 0, where the integrand is
+    Im chi(w)/w, Drude absorption does not vanish fast enough either.
     """
     _check_xi(xi)
     if not model.has_absorption:
         raise DomainError(
             "dispersion transform needs a model with nonzero absorption"
         )
+    if xi == 0.0:
+        model._im_chi_zero_limit()  # raises where Im chi(w)/w is not integrable
     spec = spec or QuadratureSpec()
-    cuts = {*model._dispersion_breakpoints(), xi, model.frequency_scale()}
+    cuts = {*model._dispersion_breakpoints(), xi}
     edges = np.array(sorted({0.0} | {w for w in cuts if w > 0.0}))
     start, width, top = edges[:-1, None], np.diff(edges)[:, None], edges[-1]
 
@@ -533,43 +476,43 @@ def kk_imaginary_axis(
     return 2.0 / math.pi * res.value
 
 
-_MODEL_FIELDS = {
-    "constant": ("chi0",),
-    "lorentz": ("omega_p", "omega_0", "gamma"),
-    "drude": ("omega_p", "gamma"),
-    "sharp_resonance": ("omega_p", "omega_0"),
-    "tabulated": ("omega_grid", "g_values"),
+# medium-file type -> model class, and the parameters the type fixes; each
+# other init field of the class is a parameter, optional if it has a default
+_MODEL_TYPES = {
+    "constant": (Constant, {}),
+    "lorentz": (Lorentz, {}),
+    "drude": (Drude, {}),
+    "sharp_resonance": (Lorentz, {"gamma": 0.0}),
+    "tabulated": (TabulatedCoupling, {}),
 }
-
-_MODEL_OPTIONAL = {"lorentz": {"gamma": 0.0}}
 
 
 def _model_from_dict(cfg: object, path: str) -> SusceptibilityModel:
     if not isinstance(cfg, dict):
         raise MediumFileError(f"{path}: expected an object, got {type(cfg).__name__}")
     if "type" not in cfg:
-        raise MediumFileError(f"{path}.type: missing (one of {sorted(_MODEL_FIELDS)})")
+        raise MediumFileError(f"{path}.type: missing (one of {sorted(_MODEL_TYPES)})")
     kind = cfg["type"]
-    if kind not in _MODEL_FIELDS:
+    if kind not in _MODEL_TYPES:
         raise MediumFileError(
-            f"{path}.type: unknown model {kind!r} (one of {sorted(_MODEL_FIELDS)})"
+            f"{path}.type: unknown model {kind!r} (one of {sorted(_MODEL_TYPES)})"
         )
-    wanted = _MODEL_FIELDS[kind]
-    optional = _MODEL_OPTIONAL.get(kind, {})
-    extra = set(cfg) - set(wanted) - {"type"}
+    cls, fixed = _MODEL_TYPES[kind]
+    params = [f for f in fields(cls) if f.init and f.name not in fixed]
+    extra = set(cfg) - {f.name for f in params} - {"type"}
     if extra:
         raise MediumFileError(
             f"{path}.{sorted(extra)[0]}: unexpected field for model {kind!r}"
         )
-    kwargs = {}
-    for name in wanted:
+    kwargs = dict(fixed)
+    for param in params:
+        name = param.name
         if name not in cfg:
-            if name in optional:
-                kwargs[name] = optional[name]
+            if param.default is not MISSING:
                 continue
             raise MediumFileError(f"{path}.{name}: missing required field")
         value = cfg[name]
-        if kind == "tabulated" and name in ("omega_grid", "g_values"):
+        if param.type.startswith("tuple"):  # a string: annotations are postponed
             if not isinstance(value, list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
             ):
@@ -579,13 +522,6 @@ def _model_from_dict(cfg: object, path: str) -> SusceptibilityModel:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise MediumFileError(f"{path}.{name}: must be a number")
             kwargs[name] = float(value)
-    cls = {
-        "constant": Constant,
-        "lorentz": Lorentz,
-        "drude": Drude,
-        "sharp_resonance": SharpResonance,
-        "tabulated": TabulatedCoupling,
-    }[kind]
     try:
         return cls(**kwargs)
     except DomainError as err:

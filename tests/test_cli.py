@@ -318,6 +318,10 @@ class TestCheckCommand:
             assert line.startswith("PASS ")
             assert "measured" in line and "bound" in line
 
+    def test_unconverged_suite_exit_code(self, capsys):
+        assert main(["check", "action", "--rel-tol", "1e-13"]) == 1
+        assert "did not converge" in capsys.readouterr().err
+
     def test_unknown_suite(self, capsys):
         assert main(["check", "nonsense"]) == 1
         err = capsys.readouterr().err

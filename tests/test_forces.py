@@ -20,6 +20,7 @@ from casimir_medium import (
     Drude,
     FieldKind,
     ForceQuery,
+    IntegrationFailureError,
     InvalidRegimeError,
     Lorentz,
     Medium,
@@ -423,6 +424,30 @@ class TestPolarizationBoundaryCondition:
                 )
             )
 
+    @pytest.mark.parametrize("wp, w0, gamma", [(1.0, 1.0, 1.0), (1.0, 1.0, 0.5),
+                                                (2.0, 2.0, 1.0)])
+    def test_regime_edge_for_unit_static_response(self, wp, w0, gamma):
+        """Below H* = -chi'(0)/n(0) the softest modes are refused.
+
+        With chi_bar(0) = 1, near p0 = 0 chi_bar = 1 + chi'(0) p0, so
+        (chi_bar - 1)(chi_bar + 1) = 2 chi'(0) p0; at the lower inner limit
+        v = 2 H n(0) p0, -expm1(-v) = 2 H n(0) p0; and (v/2H) Im chi is
+        O(p0^2).  So D = 2 p0 (n(0) H + chi'(0)), negative for every
+        H < H*.  For Lorentz media chi'(0) = -omega_p^2 gamma/omega_0^4 and
+        n(0) = sqrt(2), so H* = omega_p^2 gamma/(omega_0^4 sqrt(2)).
+        """
+        medium = Medium(electric=Lorentz(omega_p=wp, omega_0=w0, gamma=gamma))
+        assert medium.electric.chi_bar(0.0) == 1.0
+        h_star = wp * wp * gamma / (w0**4 * math.sqrt(2.0))
+        for factor in (0.9, 0.99):
+            with pytest.raises(InvalidRegimeError) as err:
+                TestPolarizationBoundaryCondition._force(medium, factor * h_star)
+            assert 0.0 < err.value.p0 < 1e-6
+        if (wp, w0, gamma) == (1.0, 1.0, 1.0):
+            # the other two are refused just above H* too, at finite p0
+            res = TestPolarizationBoundaryCondition._force(medium, 1.01 * h_star)
+            assert res.converged and res.force_per_area < 0.0
+
     def test_requires_polarization_bc_and_scalar(self):
         with pytest.raises(DomainError):
             force_polarization_bc(ForceQuery(separation=1.0))
@@ -443,6 +468,10 @@ class TestModeLogdet:
             math.log(-math.expm1(-2.0)), rel=1e-15
         )
         assert entry == pytest.approx(-0.14541345786885906, rel=1e-14)
+        # below 2EH = ln 2 log1p(-exp(-x)) loses digits; this form does not
+        assert mode_logdet(1e-3, 1e-3) == pytest.approx(
+            math.log(-math.expm1(-2e-6)), rel=1e-15
+        )
 
     def test_far_plates_vanishes(self):
         assert abs(mode_logdet(1.0, 100.0)) < 1e-15
@@ -510,6 +539,12 @@ class TestActionRoute:
                                   outer_scale=scale, inner_scale=scale)
         got = force_via_action_fd(ForceQuery(medium=LOR_01, separation=h), delta)
         assert got == pytest.approx(-ref.value / (4.0 * math.pi**2), rel=1e-8)
+
+    def test_unconverged_integral_raises(self):
+        # at this tolerance every inner row misses its tenth of rel_tol
+        query = ForceQuery(separation=1.0, spec=QuadratureSpec(rel_tol=1e-13))
+        with pytest.raises(IntegrationFailureError, match="H = 1 "):
+            force_via_action_fd(query, 1e-3)
 
     def test_step_validation(self):
         query = ForceQuery(separation=1.0)

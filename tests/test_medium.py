@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from casimir_medium import (
     MediumInstabilityError,
     PoleError,
     QuadratureSpec,
-    SharpResonance,
     TabulatedCoupling,
     UnsupportedDistributionError,
     VACUUM,
@@ -27,6 +28,7 @@ from casimir_medium import (
     load_medium,
     medium_from_dict,
 )
+from casimir_medium.medium import _MODEL_TYPES
 
 
 def lorentz_tabulated(omega_p=1.0, omega_0=1.0, gamma=0.5, n=1601, w_max=60.0):
@@ -59,6 +61,12 @@ class TestLorentz:
         model = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
         assert model.chi_bar(1.0) == pytest.approx(1.0 / 2.1, rel=1e-15)
         assert model.chi_bar(0.0) == pytest.approx(1.0, rel=1e-15)
+        lossless = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.0)
+        assert lossless.chi_bar(2.0) == pytest.approx(0.2, rel=1e-15)
+        # a narrow line tends to the lossless one
+        narrow = Lorentz(omega_p=1.0, omega_0=1.0, gamma=1e-6)
+        for xi in (0.01, 0.5, 1.0, 4.0):
+            assert lossless.chi_bar(xi) == pytest.approx(narrow.chi_bar(xi), rel=1e-4)
 
     def test_absorption_peak(self):
         model = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
@@ -82,13 +90,19 @@ class TestLorentz:
             )
 
     def test_lossless_resonance_guards(self):
-        lossless = Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0)
-        assert lossless.im_chi(1.0) == 0.0
-        with pytest.raises(UnsupportedDistributionError):
-            lossless.im_chi(2.0)
-        with pytest.raises(PoleError):
-            lossless.chi_real_axis(2.0)
-        assert not lossless.has_absorption
+        # (line, a frequency off it)
+        for omega_0, off in ((2.0, 1.0), (1.0, 0.7)):
+            lossless = Lorentz(omega_p=1.0, omega_0=omega_0, gamma=0.0)
+            assert lossless.im_chi(off) == 0.0
+            with pytest.raises(UnsupportedDistributionError):
+                lossless.im_chi(omega_0)
+            with pytest.raises(PoleError):
+                lossless.chi_real_axis(omega_0)
+            # real on both sides of the line, Im chi = +0 as for gamma -> 0+
+            for w in (0.5 * omega_0, 1.5 * omega_0):
+                value = lossless.chi_real_axis(w)
+                assert value.imag == 0.0 and math.copysign(1.0, value.imag) == 1.0
+            assert not lossless.has_absorption
         assert Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.1).has_absorption
 
     def test_parameter_validation(self):
@@ -120,27 +134,6 @@ class TestDrude:
         value = model.chi_real_axis(1.0)
         expected = -1.0 / complex(1.0, 0.5)
         assert value == pytest.approx(expected, rel=1e-14)
-
-
-class TestSharpResonance:
-    def test_off_resonance(self):
-        model = SharpResonance(omega_p=1.0, omega_0=1.0)
-        assert model.chi_bar(2.0) == pytest.approx(0.2, rel=1e-15)
-        assert model.im_chi(0.7) == 0.0
-        assert not model.has_absorption
-
-    def test_on_resonance_pole(self):
-        model = SharpResonance(omega_p=1.0, omega_0=1.0)
-        with pytest.raises(PoleError):
-            model.chi_real_axis(1.0)
-
-    def test_matches_narrow_lorentz(self):
-        sharp = SharpResonance(omega_p=1.0, omega_0=1.0)
-        narrow = Lorentz(omega_p=1.0, omega_0=1.0, gamma=1e-6)
-        for xi in (0.01, 0.5, 1.0, 4.0):
-            assert sharp.chi_bar(xi) == pytest.approx(
-                narrow.chi_bar(xi), rel=1e-4
-            )
 
 
 class TestTabulatedCoupling:
@@ -268,7 +261,8 @@ class TestArrayEvaluation:
         Constant(chi0=0.7),
         Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1),
         Drude(omega_p=1.0, gamma=0.5),
-        SharpResonance(omega_p=1.0, omega_0=2.0),
+        pytest.param(Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0),
+                     id="LorentzLossless"),
         HAT_MODEL,
     ]
     XI = np.array([1e-9, 0.3, 1.0, 2.5, 40.0])
@@ -302,7 +296,7 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("kind", [FieldKind.SCALAR, FieldKind.EM])
     def test_refractive_index_elementwise(self, kind):
         medium = Medium(electric=Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1),
-                        magnetic=SharpResonance(omega_p=0.5, omega_0=1.0))
+                        magnetic=Lorentz(omega_p=0.5, omega_0=1.0, gamma=0.0))
         values = medium.refractive_index(kind, self.XI)
         expected = [medium.refractive_index(kind, float(xi)) for xi in self.XI]
         assert values.tolist() == pytest.approx(expected, rel=1e-15)
@@ -331,7 +325,6 @@ class TestArrayEvaluation:
             model.im_chi(np.array([1.5, bad, 2.5]))
 
     @pytest.mark.parametrize("model", [
-        SharpResonance(omega_p=1.0, omega_0=2.0),
         Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0),
     ], ids=lambda m: type(m).__name__)
     def test_line_inside_array_refused(self, model):
@@ -341,8 +334,8 @@ class TestArrayEvaluation:
 
     def test_instability_reports_first_unstable_frequency(self):
         # chi_m(xi) = 2/(1 + xi^2) reaches 1 for xi <= 1
-        medium = Medium(electric=Constant(0.0),
-                        magnetic=SharpResonance(omega_p=math.sqrt(2.0), omega_0=1.0))
+        line = Lorentz(omega_p=math.sqrt(2.0), omega_0=1.0, gamma=0.0)
+        medium = Medium(electric=Constant(0.0), magnetic=line)
         with pytest.raises(MediumInstabilityError) as err:
             medium.refractive_index(FieldKind.EM, np.array([3.0, 0.5, 0.2]))
         assert err.value.xi == 0.5
@@ -400,6 +393,9 @@ class TestKramersKronig:
     def test_requires_absorption(self, default_spec):
         with pytest.raises(DomainError):
             kk_imaginary_axis(Constant(1.0), 1.0, default_spec)
+        # at xi = 0 the integrand is Im chi(w)/w, and Drude's Im chi ~ 1/w
+        with pytest.raises(DomainError, match="diverges as omega -> 0"):
+            kk_imaginary_axis(Drude(omega_p=1.0, gamma=0.5), 0.0, default_spec)
 
     def test_tabulated_closure(self, default_spec):
         # for a tabulated model the two routes integrate the same density,
@@ -423,7 +419,7 @@ MODELS = st.sampled_from(
         Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1),
         Lorentz(omega_p=2.0, omega_0=0.5, gamma=1.0),
         Drude(omega_p=1.0, gamma=0.5),
-        SharpResonance(omega_p=1.0, omega_0=1.0),
+        Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.0),
         TabulatedCoupling(omega_grid=(0.5, 1.0, 2.0), g_values=(0.1, 0.8, 0.0)),
     ]
 )
@@ -471,6 +467,31 @@ class TestLoader:
         )
         assert medium.electric.gamma == 0.0
 
+    def test_sharp_resonance_is_lossless_lorentz(self):
+        line = {"type": "sharp_resonance", "omega_p": 1.3, "omega_0": 0.7}
+        assert medium_from_dict({"electric": line}).electric == Lorentz(1.3, 0.7, 0.0)
+
+    def test_readme_model_table_matches_loader(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        # the paragraph after the table's heading
+        table = readme.split("Model types and their parameters", 1)[1].split("\n\n")[1]
+        rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", table, flags=re.M)
+        samples = {"omega_grid": [0.5, 1.0, 2.0], "g_values": [0.0, 1.0, 0.0]}
+        for kind, cell in rows:
+            params = re.findall(r"`(\w+)`( \(optional)?", cell)
+            full = {"type": kind}
+            full.update((name, samples.get(name, 1.0)) for name, _ in params)
+            medium_from_dict({"electric": full})
+            for name, optional in params:
+                partial = {k: v for k, v in full.items() if k != name}
+                if optional:
+                    medium_from_dict({"electric": partial})
+                else:
+                    missing = rf"electric\.{name}: missing"
+                    with pytest.raises(MediumFileError, match=missing):
+                        medium_from_dict({"electric": partial})
+        assert {kind for kind, _ in rows} == set(_MODEL_TYPES)
+
     def test_magnetic_defaults_to_vacuum(self):
         medium = medium_from_dict({"electric": {"type": "constant", "chi0": 1.0}})
         assert medium.magnetic == Constant(0.0)
@@ -484,17 +505,19 @@ class TestLoader:
             medium_from_dict({"electric": {"type": "lorentz", "omega_0": 1.0}})
 
     def test_extra_field_named(self):
-        with pytest.raises(MediumFileError, match="electric.q_factor"):
-            medium_from_dict(
-                {
-                    "electric": {
-                        "type": "sharp_resonance",
-                        "omega_p": 1.0,
-                        "omega_0": 1.0,
-                        "q_factor": 10.0,
+        # sharp_resonance fixes gamma at 0, so a file may not set it
+        for extra in ("q_factor", "gamma"):
+            with pytest.raises(MediumFileError, match=f"electric.{extra}"):
+                medium_from_dict(
+                    {
+                        "electric": {
+                            "type": "sharp_resonance",
+                            "omega_p": 1.0,
+                            "omega_0": 1.0,
+                            extra: 10.0,
+                        }
                     }
-                }
-            )
+                )
 
     def test_non_number_rejected(self):
         with pytest.raises(MediumFileError, match="electric.chi0"):
