@@ -31,6 +31,12 @@ from casimir_medium import (
 from casimir_medium.medium import _MODEL_TYPES
 
 
+def sharp_resonance(omega_p, omega_0):
+    """The model a medium file of type sharp_resonance builds."""
+    line = {"type": "sharp_resonance", "omega_p": omega_p, "omega_0": omega_0}
+    return medium_from_dict({"electric": line}).electric
+
+
 def lorentz_tabulated(omega_p=1.0, omega_0=1.0, gamma=0.5, n=1601, w_max=60.0):
     """Sample the Lorentz coupling density onto a grid."""
     lor = Lorentz(omega_p=omega_p, omega_0=omega_0, gamma=gamma)
@@ -61,12 +67,6 @@ class TestLorentz:
         model = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
         assert model.chi_bar(1.0) == pytest.approx(1.0 / 2.1, rel=1e-15)
         assert model.chi_bar(0.0) == pytest.approx(1.0, rel=1e-15)
-        lossless = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.0)
-        assert lossless.chi_bar(2.0) == pytest.approx(0.2, rel=1e-15)
-        # a narrow line tends to the lossless one
-        narrow = Lorentz(omega_p=1.0, omega_0=1.0, gamma=1e-6)
-        for xi in (0.01, 0.5, 1.0, 4.0):
-            assert lossless.chi_bar(xi) == pytest.approx(narrow.chi_bar(xi), rel=1e-4)
 
     def test_absorption_peak(self):
         model = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
@@ -134,6 +134,29 @@ class TestDrude:
         value = model.chi_real_axis(1.0)
         expected = -1.0 / complex(1.0, 0.5)
         assert value == pytest.approx(expected, rel=1e-14)
+
+
+class TestSharpResonance:
+    """The sharp_resonance file type: a lossless Lorentz line."""
+
+    def test_off_resonance(self):
+        model = sharp_resonance(omega_p=1.0, omega_0=1.0)
+        assert model.chi_bar(2.0) == pytest.approx(0.2, rel=1e-15)
+        assert model.im_chi(0.7) == 0.0
+        assert not model.has_absorption
+
+    def test_on_resonance_pole(self):
+        model = sharp_resonance(omega_p=1.0, omega_0=1.0)
+        with pytest.raises(PoleError):
+            model.chi_real_axis(1.0)
+
+    def test_matches_narrow_lorentz(self):
+        sharp = sharp_resonance(omega_p=1.0, omega_0=1.0)
+        narrow = Lorentz(omega_p=1.0, omega_0=1.0, gamma=1e-6)
+        for xi in (0.01, 0.5, 1.0, 4.0):
+            assert sharp.chi_bar(xi) == pytest.approx(
+                narrow.chi_bar(xi), rel=1e-4
+            )
 
 
 class TestTabulatedCoupling:
@@ -325,6 +348,8 @@ class TestArrayEvaluation:
             model.im_chi(np.array([1.5, bad, 2.5]))
 
     @pytest.mark.parametrize("model", [
+        pytest.param(sharp_resonance(omega_p=1.0, omega_0=2.0),
+                     id="SharpResonance"),
         Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0),
     ], ids=lambda m: type(m).__name__)
     def test_line_inside_array_refused(self, model):
