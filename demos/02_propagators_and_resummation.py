@@ -25,7 +25,7 @@ point = MomentumFrequencyPoint.real_axis(k, omega)
 
 free = g0(k, omega)
 reservoir = g_omega(2.0, omega)
-dressed = g_phiphi(medium, FieldKind.SCALAR, point).value
+dressed = g_phiphi(medium, FieldKind.SCALAR, point)
 
 print(f"free propagator        G0({k}, {omega})      = {free:.12g}")
 print(f"reservoir propagator   Gomega(2.0, {omega})  = {reservoir:.12g}")

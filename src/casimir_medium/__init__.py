@@ -55,7 +55,6 @@ from .propagators import (
     CrossCorrelators,
     DysonPartialSum,
     MomentumFrequencyPoint,
-    PropagatorValue,
     cross_correlators,
     dyson_partial_sum,
     g0,
@@ -66,7 +65,6 @@ from .propagators import (
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    Transform,
     inner_mode_integral,
     integrate_1d,
     integrate_2d_oracle,
@@ -98,11 +96,9 @@ __all__ = [
     "MediumInstabilityError",
     "MomentumFrequencyPoint",
     "PoleError",
-    "PropagatorValue",
     "QuadratureSpec",
     "SusceptibilityModel",
     "TabulatedCoupling",
-    "Transform",
     "UnsupportedDistributionError",
     "VACUUM",
     "cross_correlators",

@@ -32,7 +32,6 @@ __all__ = [
     "check_dyson",
     "check_action",
     "SUITES",
-    "run_suite",
 ]
 
 # separations (natural units) used by the limit checks
@@ -175,7 +174,7 @@ def check_dyson(spec: QuadratureSpec | None = None) -> list[CheckResult]:
     worst_bound_excess = -math.inf
     worst_closure = 0.0
     for point in points:
-        closed = g_phiphi(medium, FieldKind.SCALAR, point).value
+        closed = g_phiphi(medium, FieldKind.SCALAR, point)
         base = g0(point.k, point.frequency)
         for order in range(DYSON_MAX_ORDER + 1):
             partial = dyson_partial_sum(medium, point, order)
@@ -242,8 +241,3 @@ SUITES = {
     "dyson": check_dyson,
     "action": check_action,
 }
-
-
-def run_suite(name: str, spec: QuadratureSpec | None = None) -> list[CheckResult]:
-    """Run one named suite; unknown names raise KeyError."""
-    return SUITES[name](spec)

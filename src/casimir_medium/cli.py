@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import SUITES, run_suite
+from .checks import SUITES
 from .errors import (
     CasimirMediumError,
     InvalidRegimeError,
@@ -130,10 +130,11 @@ def _config_value(path: str, key: str, value, kind):
     return value if isinstance(kind, tuple) else kind(value)
 
 
-def _env_rel_tol() -> float | None:
+def _default_rel_tol() -> float:
+    """rel_tol from the environment, else QuadratureSpec's default."""
     raw = os.environ.get(RELTOL_ENV)
     if raw is None:
-        return None
+        return QuadratureSpec.rel_tol
     try:
         value = float(raw)
     except ValueError:
@@ -174,7 +175,7 @@ def _force_settings(args: argparse.Namespace) -> dict:
     if settings["hmax"] is None:
         settings["hmax"] = settings["hmin"]
     if settings["rel_tol"] is None:
-        settings["rel_tol"] = _env_rel_tol() or 1e-9
+        settings["rel_tol"] = _default_rel_tol()
     return settings
 
 
@@ -229,11 +230,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"unknown check suite {name!r}; available: {', '.join(sorted(SUITES))}\n"
             )
             return 1
-    rel_tol = args.rel_tol if args.rel_tol is not None else (_env_rel_tol() or 1e-9)
+    rel_tol = args.rel_tol if args.rel_tol is not None else _default_rel_tol()
     spec = QuadratureSpec(rel_tol=rel_tol)
     all_passed = True
     for name in names:
-        for result in run_suite(name, spec):
+        for result in SUITES[name](spec):
             sys.stdout.write(result.format_line() + "\n")
             all_passed = all_passed and result.passed
     return 0 if all_passed else 4
@@ -262,7 +263,7 @@ def _propagator_value(
     if kind == "Gomega":
         return g_omega(omega_res, point.frequency, eta)
     if kind == "Gphiphi":
-        return g_phiphi(medium, field, point, eta).value
+        return g_phiphi(medium, field, point, eta)
     correlators = cross_correlators(medium, point, eta)
     return {
         "GphiP": correlators.g_phi_p,
@@ -403,9 +404,6 @@ def main(argv: list[str] | None = None) -> int:
     except (MediumInstabilityError, InvalidRegimeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except MediumFileError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
     except CasimirMediumError as err:
         sys.stderr.write(f"error: {err}\n")
         return 1

@@ -134,7 +134,7 @@ class SusceptibilityModel:
         return ()
 
     def _im_chi_zero_limit(self) -> float:
-        # limit of im_chi as omega -> 0+, needed only for static evaluations
+        # limit of im_chi as omega -> 0+; raises where it diverges
         return 0.0
 
 
@@ -394,10 +394,6 @@ class Medium(object):
     electric: SusceptibilityModel
     magnetic: SusceptibilityModel = Constant(0.0)
 
-    def epsilon_bar(self, xi: float) -> float:
-        """Permittivity 1 + chi_e on the imaginary axis."""
-        return 1.0 + self.electric.chi_bar(xi)
-
     def mu_bar(self, xi):
         """Permeability 1/(1 - chi_m) on the imaginary axis.
 
@@ -417,14 +413,13 @@ class Medium(object):
     def refractive_index(self, kind: FieldKind, xi):
         """Euclidean refractive index n(xi) for the given field content.
 
-        Scalar: n = sqrt(1 + chi_e).  EM: n = sqrt(mu_bar * epsilon_bar) =
+        Scalar: n = sqrt(1 + chi_e).  EM: n = sqrt((1 + chi_e) * mu_bar) =
         sqrt((1 + chi_e)/(1 - chi_m)).  Takes a float or an ndarray of
         frequencies, like ``chi_bar``.
         """
-        if kind is FieldKind.SCALAR:
-            n2 = 1.0 + self.electric.chi_bar(xi)
-        else:
-            n2 = self.epsilon_bar(xi) * self.mu_bar(xi)
+        n2 = 1.0 + self.electric.chi_bar(xi)
+        if kind is FieldKind.EM:
+            n2 = n2 * self.mu_bar(xi)
         return math.sqrt(n2) if type(n2) is float else np.sqrt(n2)
 
 

@@ -26,7 +26,6 @@ from .medium import FieldKind, Medium
 __all__ = [
     "Axis",
     "MomentumFrequencyPoint",
-    "PropagatorValue",
     "CrossCorrelators",
     "DysonPartialSum",
     "DEFAULT_ETA",
@@ -78,15 +77,6 @@ class MomentumFrequencyPoint:
 
 
 @dataclass(frozen=True)
-class PropagatorValue:
-    """A single propagator evaluation with its identifying tags."""
-
-    kind: str
-    axis: Axis
-    value: complex
-
-
-@dataclass(frozen=True)
 class CrossCorrelators:
     """Mixed and matter-matter correlators at one real-axis point.
 
@@ -111,7 +101,6 @@ class DysonPartialSum:
 
     value: complex
     ratio: complex
-    order: int
     converged: bool
 
 
@@ -204,13 +193,14 @@ def g_phiphi(
     kind: FieldKind,
     point: MomentumFrequencyPoint,
     eta: float = DEFAULT_ETA,
-) -> PropagatorValue:
-    """Dressed field propagator at one momentum-frequency point.
+) -> complex:
+    """Dressed field propagator G_phiphi at one momentum-frequency point.
 
     Euclidean axis: 1/(k^2 (1 - chi_m) + xi^2 (1 + chi_e)), real and
     positive.  Real axis: 1/(k^2 (1 - chi_m) - omega^2 (1 + chi_e)) with the
     same retarded shift as ``g0`` so the geometric resummation identity holds
-    exactly at finite eta.  Scalar calculations take chi_m = 0.
+    exactly at finite eta.  Scalar calculations take chi_m = 0.  Returns
+    the complex value (real on the Euclidean axis).
     """
     _check_eta(eta)
     k = point.k
@@ -221,7 +211,7 @@ def g_phiphi(
             raise DegenerateModeError(
                 f"zero mode at (k={k:g}, xi={xi:g}); propagator undefined"
             )
-        return PropagatorValue("Gphiphi", point.axis, complex(1.0 / den))
+        return complex(1.0 / den)
 
     omega = point.frequency
     chi_e = medium.electric.chi_real_axis(omega)
@@ -235,7 +225,7 @@ def g_phiphi(
         raise PoleError(
             f"dressed propagator pole at (k={k:g}, omega={omega:g}) with eta = 0"
         )
-    return PropagatorValue("Gphiphi", point.axis, 1.0 / den)
+    return 1.0 / den
 
 
 def cross_correlators(
@@ -258,18 +248,12 @@ def cross_correlators(
     if point.axis is not Axis.REAL:
         raise DomainError("cross correlators are defined on the real axis")
     k, omega = point.k, point.frequency
-    if omega == 0.0:
-        chi_e = medium.electric.chi_real_axis(0.0)
-        chi_m = medium.magnetic.chi_real_axis(0.0)
-        noise_e = medium.electric._im_chi_zero_limit()
-        noise_m = medium.magnetic._im_chi_zero_limit()
-    else:
-        chi_e = medium.electric.chi_real_axis(omega)
-        chi_m = medium.magnetic.chi_real_axis(omega)
-        aw = abs(omega)
-        noise_e = medium.electric.im_chi(aw)
-        noise_m = medium.magnetic.im_chi(aw)
-    g = g_phiphi(medium, FieldKind.EM, point, eta).value
+    chi_e = medium.electric.chi_real_axis(omega)
+    chi_m = medium.magnetic.chi_real_axis(omega)
+    # static point: no absorption (a Drude chi_real_axis(0) has raised)
+    noise_e = medium.electric.im_chi(abs(omega)) if omega else 0.0
+    noise_m = medium.magnetic.im_chi(abs(omega)) if omega else 0.0
+    g = g_phiphi(medium, FieldKind.EM, point, eta)
     return CrossCorrelators(
         g_phi_p=1j * omega * chi_e * g,
         g_phi_m=1j * k * omega * chi_m * g,
@@ -303,7 +287,7 @@ def dyson_partial_sum(
     base = g0(k, omega, eta)
     if omega == 0.0:
         # static limit: the omega^2 vertex factor kills the dressing
-        return DysonPartialSum(value=base, ratio=0j, order=order, converged=True)
+        return DysonPartialSum(value=base, ratio=0j, converged=True)
     chi_e = medium.electric.chi_real_axis(omega)
     r = omega * omega * chi_e * base
     # compensated summation keeps the tail-bound comparison honest at 1e-10
@@ -314,6 +298,4 @@ def dyson_partial_sum(
         res.append(term.real)
         ims.append(term.imag)
     total = complex(math.fsum(res), math.fsum(ims))
-    return DysonPartialSum(
-        value=total, ratio=r, order=order, converged=abs(r) < 1.0
-    )
+    return DysonPartialSum(value=total, ratio=r, converged=abs(r) < 1.0)

@@ -21,7 +21,6 @@ serve only the tests: no package path calls them.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -31,7 +30,6 @@ import numpy as np
 from .errors import DomainError, IntegrationFailureError
 
 __all__ = [
-    "Transform",
     "QuadratureSpec",
     "IntegralResult",
     "polylog",
@@ -74,35 +72,23 @@ _LI3_LOG_SERIES = np.array([
 _LI3_ORDERS = np.arange(1.0, _LI3_LOG_SERIES.size + 1.0)[:, None]
 
 
-class Transform(enum.Enum):
-    """Change of variable mapping [a, inf) onto the open unit interval."""
-
-    EXPONENTIAL = "exponential"  # x = a - s*ln(1 - t), suits exponential tails
-    RATIONAL = "rational"        # x = a + s*t/(1 - t), suits algebraic tails
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and budget settings shared by all integrals.
+    """Tolerance settings shared by all integrals.
 
-    ``rel_tol`` governs every route.  ``abs_tol`` and ``max_subdivisions``
-    apply only to the exported QUADPACK oracles (``integrate_1d`` and the 2D
-    oracle); the double-exponential engine is purely relative.
+    ``rel_tol`` governs every route.  ``abs_tol`` applies only to the
+    exported QUADPACK oracles (``integrate_1d`` and the 2D oracle); the
+    double-exponential engine is purely relative.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
             raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -359,30 +345,22 @@ def _capped_ratio(newer, older):
     return newer / (np.maximum(newer, older) + _TINY)
 
 
-def _map_point(x: float, a: float, scale: float, transform: Transform) -> float:
-    # inverse of the semi-infinite change of variable, for breakpoint hints
-    u = (x - a) / scale
-    if transform is Transform.EXPONENTIAL:
-        return -math.expm1(-u)
-    return u / (1.0 + u)
-
-
 def integrate_1d(
     f: Callable[[float], float],
     domain: tuple[float, float],
     spec: QuadratureSpec | None = None,
     *,
-    transform: Transform = Transform.EXPONENTIAL,
     scale: float = 1.0,
     points: Sequence[float] | None = None,
 ) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of ``f`` over ``domain``.
 
     Finite domains go straight to the adaptive rule.  Semi-infinite domains
-    (upper bound ``inf``) are first mapped onto (0, 1) by ``transform``, with
-    an optional length ``scale`` matching the integrand's decay.  The
-    underlying rule only ever evaluates interior nodes, so integrable
-    endpoint singularities are fine.
+    (upper bound ``inf``) are first mapped onto (0, 1) by x = a - scale
+    ln(1 - t), with a length ``scale`` matching the integrand's decay; a
+    node that rounds onto t = 1 is the point at infinity and contributes 0.
+    Otherwise the rule evaluates only interior nodes, so integrable endpoint
+    singularities are fine.  At most 2000 subintervals are used.
 
     Parameters
     ----------
@@ -391,11 +369,9 @@ def integrate_1d(
     domain : tuple
         (a, b); b may be ``math.inf``.
     spec : QuadratureSpec, optional
-        Tolerances and subdivision budget; defaults are tight.
-    transform : Transform
-        Change of variable for a semi-infinite domain (default exponential).
+        Tolerances; defaults are tight.
     scale : float
-        Characteristic length of the transform, > 0.
+        Characteristic length of the semi-infinite map, > 0.
     points : sequence of float, optional
         Interior locations (in the original variable) where the integrand has
         known structure; the subdivision starts there.
@@ -414,17 +390,14 @@ def integrate_1d(
         raise DomainError(f"transform scale must be positive, got {scale!r}")
 
     if math.isinf(b):
-        if transform is Transform.EXPONENTIAL:
-            def g(t: float) -> float:
-                w = 1.0 - t
-                return f(a - scale * math.log(w)) * scale / w
-        else:
-            def g(t: float) -> float:
-                w = 1.0 - t
-                return f(a + scale * t / w) * scale / (w * w)
+        def g(t: float) -> float:
+            w = 1.0 - t
+            if w == 0.0:  # the integrand vanishes at infinity
+                return 0.0
+            return f(a - scale * math.log(w)) * scale / w
         lo, hi = 0.0, 1.0
         if points is not None:
-            mapped = [_map_point(p, a, scale, transform) for p in points if p > a]
+            mapped = [-math.expm1(-(p - a) / scale) for p in points if p > a]
             pts = sorted(t for t in mapped if 0.0 < t < 1.0)
         else:
             pts = None
@@ -444,7 +417,7 @@ def integrate_1d(
         hi,
         epsabs=spec.abs_tol,
         epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        limit=2000,
         points=pts if pts else None,
         full_output=1,
     )

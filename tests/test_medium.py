@@ -370,7 +370,6 @@ class TestMedium:
     def test_vacuum(self):
         assert VACUUM.refractive_index(FieldKind.SCALAR, 1.0) == 1.0
         assert VACUUM.refractive_index(FieldKind.EM, 1.0) == 1.0
-        assert VACUUM.epsilon_bar(2.0) == 1.0
         assert VACUUM.mu_bar(2.0) == 1.0
 
     def test_scalar_index_ignores_magnetic(self):
