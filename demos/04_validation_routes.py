@@ -1,10 +1,10 @@
 """Independent routes to the same force, pitted against each other.
 
-The fast route reduces the in-plane momentum integral to polylogarithms and
-integrates over one frequency.  Everything else here exists to check it:
-a brute-force nested quadrature over both variables, a finite-difference
-derivative of the effective action, the polarization-pinned variant, and the
-matter-only null result.  The brute-force quadrature is the QUADPACK
+The fast route does the in-plane momentum integral in closed form, summed
+from a short series, and integrates over one frequency.  Everything else
+here exists to check it: a brute-force nested quadrature over both
+variables, a finite-difference derivative of the effective action, the
+polarization-pinned variant, and the matter-only null result.  The brute-force quadrature is the QUADPACK
 oracle, so this script needs scipy, which comes with the ``test`` extra.
 """
 
@@ -28,7 +28,7 @@ from casimir_medium import (
 medium = Medium(electric=Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1))
 h = 1.0
 fast = force_field_bc(ForceQuery(medium=medium, separation=h))
-print(f"polylog route:      {fast.force_per_area:.12e} "
+print(f"field route:        {fast.force_per_area:.12e} "
       f"({fast.evaluations} integrand calls)")
 
 

@@ -40,6 +40,8 @@ CHI0_GRID = (0.25, 1.25, 3.0, 15.0)
 DYSON_SEED = 20240811
 DYSON_POINTS = 50
 DYSON_MAX_ORDER = 30
+FAR_H_GRID = (1e4, 1e5)
+_ZETA_5, _ZETA_7 = 1.0369277551433699263, 1.0083492773819228268
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,25 @@ class CheckResult:
 
 
 def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
-    """Vacuum limits, EM polarization doubling and constant-medium scaling."""
+    """Vacuum limits, EM polarization doubling, constant-medium scaling and
+    the far-separation closed forms of the field-BC ``vacuum_ratio``.
+
+    Far above the medium's wavelength that ratio, integral J(n(t/2H) t) dt /
+    (pi^4/15) with J as in ``inner_mode_integral``, follows from n(p0) near 0;
+    to order 1/H^2 in x = n t, with J'(x) = -x^2/(e^x - 1):
+
+    * Drude: x^2 = s/(1 + t/(2H gamma)) + t^2, s = 2 H wp^2 t/gamma; from
+      integral J(sqrt(s)) ds = 24 zeta(5) and integral y^6/(e^y - 1) dy =
+      720 zeta(7), 180 zeta(5) gamma/(pi^4 wp^2 H) (1 + r/H^2), with
+      r = 7.5 zeta(7)/zeta(5) (1/wp^2 - gamma^2/wp^4).
+    * chi(p0) = chi0 + chi1 p0 + chi2 p0^2 + ... (a Lorentz), n0^2 = 1 + chi0:
+      (1/n0)(1 - 90 zeta(5) chi1/(pi^4 n0^3 H)) (1 + r/H^2), with
+      r = (5 pi^2/84)(5 chi1^2/n0^6 - 4 chi2/n0^4).
+
+    A line passes when |ratio/closed - 1| <= |r|/H^2 + rel_tol at each H in
+    ``FAR_H_GRID``, from 1e4 up, where the next terms (O(1/H^4) Drude, O(1/H^3)
+    Lorentz) stay below 1e-13, so the lines hold down to the round-off floor.
+    """
     spec = spec or QuadratureSpec()
     results = []
 
@@ -123,6 +143,33 @@ def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
             detail=f"chi0 in {CHI0_GRID}, H in {H_GRID}",
         )
     )
+
+    drude = Drude(omega_p=1.0, gamma=0.5)
+    wp2, damping = drude.omega_p**2, drude.gamma
+    lorentz = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
+    w02, chi0 = lorentz.omega_0**2, (lorentz.omega_p / lorentz.omega_0) ** 2
+    chi1, chi2 = -chi0 * lorentz.gamma / w02, chi0 * (lorentz.gamma**2 - w02) / w02**2
+    n0 = math.sqrt(1.0 + chi0)
+    for label, model, closed, r in (
+        ("drude", drude, lambda h: 180.0 * _ZETA_5 * damping / (math.pi**4 * wp2 * h),
+         7.5 * _ZETA_7 / _ZETA_5 * (1.0 - damping**2 / wp2) / wp2),
+        ("lorentz", lorentz,
+         lambda h: (1.0 - 90.0 * _ZETA_5 * chi1 / (math.pi**4 * n0**3 * h)) / n0,
+         5.0 * math.pi**2 / 84.0 * (5.0 * chi1**2 / n0**6 - 4.0 * chi2 / n0**4)),
+    ):
+        excess = max(
+            abs(force_field_bc(ForceQuery(medium=Medium(electric=model), separation=h,
+                                          spec=spec)).vacuum_ratio / closed(h) - 1.0)
+            - abs(r) / h**2
+            for h in FAR_H_GRID
+        )
+        results.append(CheckResult(
+            name=f"far-separation {label}",
+            passed=excess <= spec.rel_tol,
+            measured=excess,
+            bound=spec.rel_tol,
+            detail=f"|ratio/closed - 1| - {abs(r):.4g}/H^2, worst of H in {FAR_H_GRID}",
+        ))
     return results
 
 

@@ -51,14 +51,8 @@ from .quadrature import QuadratureSpec
 
 RELTOL_ENV = "CASIMIR_MEDIUM_RELTOL"
 
-_FORCE_COLUMNS = (
-    "H",
-    "force_per_area",
-    "error_estimate",
-    "vacuum_ratio",
-    "evaluations",
-    "converged",
-)
+_FORCE_COLUMNS = ("H", "force_per_area", "error_estimate", "vacuum_ratio",
+                  "evaluations", "converged")
 _PROPAGATOR_COLUMNS = ("axis", "kind", "k", "freq", "re", "im", "status")
 _PROPAGATOR_KINDS = ("G0", "Gomega", "Gphiphi", "GphiP", "GphiM", "GPP", "GMM")
 
@@ -198,16 +192,10 @@ def _cmd_force(args: argparse.Namespace) -> int:
     for h in grid:
         query = ForceQuery(medium=medium, kind=field, bc=bc, separation=h, spec=spec)
         res = compute(query)
-        rows.append(
-            {
-                "H": h,
-                "force_per_area": scale * res.force_per_area,
-                "error_estimate": scale * res.error_estimate,
-                "vacuum_ratio": res.vacuum_ratio,
-                "evaluations": res.evaluations,
-                "converged": res.converged,
-            }
-        )
+        rows.append(dict(zip(_FORCE_COLUMNS, (
+            h, scale * res.force_per_area, scale * res.error_estimate,
+            res.vacuum_ratio, res.evaluations, res.converged,
+        ))))
 
     if settings["format"] == "csv":
         # floats in full, the evaluation count as is, converged as true/false

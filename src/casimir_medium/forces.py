@@ -131,11 +131,12 @@ def _gap_frequency(medium: Medium, kind: FieldKind, p0):
 def force_field_bc(query: ForceQuery) -> ForceResult:
     """Force with the field pinned on both mirrors (closed-form route).
 
-    Integrates the polylogarithm closed form of the in-plane mode integral
-    over t = 2 H p0 with the exp-sinh rule, every node of a pass in one
-    array.  ``converged`` means the error estimate is within the spec's
-    ``rel_tol`` of the force, at every separation; ``abs_tol`` plays no
-    part.  Non-convergence is flagged on the result, not raised.
+    Integrates the in-plane mode integral (``inner_mode_integral``, a short
+    series in x = n(p0) t) over t = 2 H p0 with the exp-sinh rule, every
+    node of a pass in one array.  ``converged`` means the error estimate is
+    within the spec's ``rel_tol`` of the force, at every separation;
+    ``abs_tol`` plays no part.  Non-convergence is flagged on the result,
+    not raised.
     """
     if query.bc is not BoundaryCondition.FIELD:
         raise DomainError("this route computes the field boundary condition")
@@ -228,7 +229,7 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         nonlocal inner_evaluations, inner_rel_error, inner_converged
         p0 = t * inv2h
         chi = electric.chi_bar(p0)
-        n = medium.refractive_index(FieldKind.SCALAR, p0)
+        n = np.sqrt(1.0 + chi)  # Medium.refractive_index, from this chi
         noise = electric.im_chi(p0)
         live = chi != 0.0  # zero-coupling modes add nothing and are exempt
         p0, chi, n, noise = p0[live], chi[live], n[live], noise[live]

@@ -313,7 +313,7 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 4
+        assert len(lines) == 6
         for line in lines:
             assert line.startswith("PASS ")
             assert "measured" in line and "bound" in line

@@ -1,6 +1,8 @@
 """Polylogarithms, the closed-form mode integral and the quadrature wrappers."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +20,7 @@ from casimir_medium import (
     integrate_exp_sinh,
     polylog,
 )
-from casimir_medium.quadrature import ZETA_3
+from casimir_medium.quadrature import _DEBYE_SERIES, ZETA_3
 
 from .conftest import mp_inner_mode_integral
 
@@ -194,6 +196,49 @@ class TestArrayModeIntegral:
     def test_domain_checked_elementwise(self, bad):
         with pytest.raises(DomainError):
             inner_mode_integral(np.array([0.5, bad]), 1.0)
+
+
+class TestModeIntegralSeries:
+    """J(x) = (2H)^3 I: the Debye-function series below x = 2, the Bose
+    series from x = 2 up.  At H = 1/2, x equals a and I equals J."""
+
+    X = np.concatenate([
+        np.geomspace(1e-31, 40.0, 300),
+        np.linspace(1.9, 2.1, 41),
+        [1.99, np.nextafter(2.0, 0.0), 2.0, 2.01],
+    ])
+
+    def test_against_mpmath(self):
+        got = inner_mode_integral(self.X, 0.5)
+        for x, value in zip(self.X, got):
+            ref = mp_inner_mode_integral(float(x), 0.5)
+            assert abs(value - ref) <= 2e-15 * ref, x
+
+    def test_gapless_value_is_exact(self):
+        assert inner_mode_integral(0.0, 0.5) == 2.0 * ZETA_3
+        assert inner_mode_integral(np.zeros(3), 0.5).tolist() == [2.0 * ZETA_3] * 3
+
+    def test_overflowing_gap_gives_zero(self):
+        # x^2 would overflow where e^-x has long underflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inner_mode_integral(1e200, 1.0) == 0.0
+            values = inner_mode_integral(np.array([1e200, 0.0]), 1.0)
+        assert values[0] == 0.0
+        assert values[1] == 2.0 * ZETA_3 / 8.0
+
+    def test_debye_coefficients_from_bernoulli_numbers(self):
+        # c_k = B_2k / ((2k + 2)(2k)!), with B_n from sum_j C(n+1, j) B_j = 0
+        bernoulli = [Fraction(1)]
+        for n in range(1, 2 * len(_DEBYE_SERIES) + 1):
+            bernoulli.append(
+                -sum(math.comb(n + 1, j) * b for j, b in enumerate(bernoulli)) / (n + 1)
+            )
+        exact = [
+            float(bernoulli[2 * k] / ((2 * k + 2) * math.factorial(2 * k)))
+            for k in range(1, len(_DEBYE_SERIES) + 1)
+        ]
+        assert _DEBYE_SERIES.tolist() == exact
 
 
 class TestIntegrateExpSinh:
