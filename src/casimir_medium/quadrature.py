@@ -13,6 +13,7 @@ engine that evaluates its integrand on whole arrays of nodes, and many
 integrands at once as the rows of one array.  It has two node tables:
 ``integrate_exp_sinh`` on the half-line (the force routes and the action
 route) and ``integrate_tanh_sinh`` on (0, 1) (the dispersion transform).
+Its first pass takes 105 (exp-sinh) or 103 (tanh-sinh) nodes at once.
 
 The exported oracles ``integrate_1d`` (QUADPACK via scipy, imported on first
 use; the ``test`` extra brings it) and ``integrate_2d_oracle``, built on it,
@@ -45,31 +46,25 @@ __all__ = [
 ZETA_3 = 1.2020569031595942854
 _PI2_6 = math.pi * math.pi / 6.0
 
-# direct power series is used below this argument; closer to 1 we switch to
-# the standard reflection / log-series forms to keep 15-digit accuracy
+# the defining power series serves arguments up to this one; closer to 1 the
+# standard reflection / log-series forms keep 15-digit accuracy
 _SERIES_THRESHOLD = 0.75
-# the series stops once z^n falls below this, which at z <= 0.75 bounds the
-# tail z^(n+1)/((n+1)^s (1-z)) far below double precision
-_SERIES_CUTOFF = 1e-17
-_SERIES_TERMS = math.ceil(math.log(_SERIES_CUTOFF) / math.log(_SERIES_THRESHOLD))
-# row s-1 holds 1/n^s, so _SERIES_COEFFS @ powers sums Li_1, Li_2, Li_3
-_SERIES_COEFFS = 1.0 / (
-    np.arange(1.0, _SERIES_TERMS + 1.0) ** np.array([[1.0], [2.0], [3.0]])
-)
+# z^n falls below 1e-17 by this n at z <= 0.75, which bounds the tail
+# z^(n+1)/((n+1)^s (1-z)) far below double precision
+_SERIES_TERMS = math.ceil(math.log(1e-17) / math.log(_SERIES_THRESHOLD))
 
 # Li3(e^-x) = zeta(3) - zeta(2) x + x^2 (3/2 - ln x)/2 + sum over even powers
 # with zeta(negative odd) coefficients; valid for 0 < x < ln 2, truncated
 # where the next term is below 1e-17 for x <= -ln(0.75).  Entry k-1 is the
 # coefficient of x^k, without the x^2 ln x term.
-_LI3_LOG_SERIES = np.array([
+_LI3_LOG_SERIES = (
     -_PI2_6, 0.75, 1.0 / 12.0,
     -1.0 / 288.0, 0.0,
     1.0 / 86400.0, 0.0,
     -1.0 / 10160640.0, 0.0,
     1.0 / 870912000.0, 0.0,
     -1.0 / 63228211200.0,
-])
-_LI3_ORDERS = np.arange(1.0, _LI3_LOG_SERIES.size + 1.0)[:, None]
+)
 
 # J(x) = (2H)^3 I as in inner_mode_integral.  Below x = 2, (J - 2 zeta(3))/x^2
 # in powers x^0, x^1, x^2, x^4, ..., x^40, from the literal c_k = B_2k/((2k
@@ -91,7 +86,7 @@ _DEBYE_ORDERS = np.concatenate(([0.0, 1.0], np.arange(2.0, 41.0, 2.0)))[:, None]
 _DEBYE_FLOOR = 1e-7
 # from x = 2 up, e^-kx (x^2/k + 2x/k^2 + 2/k^3) to k = 21 (e^-22x < 1e-19)
 _BOSE_ORDERS = np.arange(1.0, 22.0)[:, None]
-_BOSE_COEFFS = _SERIES_COEFFS[:, :_BOSE_ORDERS.size] * [[1.0], [2.0], [2.0]]
+_BOSE_COEFFS = 1.0 / _BOSE_ORDERS.T ** [[1.0], [2.0], [3.0]] * [[1.0], [2.0], [2.0]]
 # J = 0 once e^-x underflows (x > 745); the cap keeps x^2 finite there
 _BOSE_CAP = 1e3
 
@@ -135,52 +130,19 @@ class IntegralResult:
     converged: bool
 
 
-def _powers(v: np.ndarray, count: int) -> np.ndarray:
-    """Rows v, v^2, ..., v^count, filled by doubling the filled block."""
-    out = np.empty((count, v.size))
-    out[0] = v
-    filled = 1
-    while filled < count:
-        step = min(filled, count - filled)
-        np.multiply(out[:step], out[filled - 1], out=out[filled:filled + step])
-        filled += step
-    return out
-
-
-def _polylogs(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Li_1, Li_2, Li_3 at y = exp(-x), elementwise, for 0 <= y < 1.
-
-    The defining power series serves y <= 0.75; above it Li_1 = -ln(1 - y),
-    Li_2 comes from Euler's reflection Li2(y) + Li2(1-y) = pi^2/6 -
-    ln(y) ln(1-y) with the series at 1 - y, and Li_3 from its log-series in
-    x.  Both series are summed for every element at once, as matrix
-    products of a table of powers; y = 1 (x = 0) yields non-finite values
-    that callers replace by the limits.
-    """
-    near = y > _SERIES_THRESHOLD
-    complement = -np.expm1(-x)  # 1 - y, to full relative precision
-    z = np.where(near, complement, y)
-    z_max = float(z.max(initial=0.0))
-    terms = 1
-    if z_max > 0.0:
-        terms = min(_SERIES_TERMS,
-                    max(1, math.ceil(math.log(_SERIES_CUTOFF) / math.log(z_max))))
-    series = _SERIES_COEFFS[:, :terms] @ _powers(z, terms)
-    log_complement = np.log(complement)
-    li1 = np.where(near, -log_complement, series[0])
-    li2 = np.where(near, _PI2_6 + x * log_complement - series[1], series[1])
-    x_powers = x ** _LI3_ORDERS
-    li3_near = ZETA_3 + _LI3_LOG_SERIES @ x_powers - 0.5 * x_powers[1] * np.log(x)
-    li3 = np.where(near, li3_near, series[2])
-    return li1, li2, li3
+def _series(s: int, z: float) -> float:
+    # the defining series sum_n z^n/n^s, for 0 <= z <= 0.75
+    return math.fsum(z**n / n**s for n in range(1, _SERIES_TERMS + 1))
 
 
 def polylog(s: int, y: float) -> float:
     """Polylogarithm Li_s(y) for s in {1, 2, 3} and y in [0, 1].
 
-    Uses the defining power series away from y = 1 and the standard
-    reflection (s = 2) or log-series (s = 3) forms near y = 1 so the result
-    stays accurate to ~1e-15.  Li_1(1) diverges and raises.
+    The defining power series serves y <= 0.75.  Above it, with x = -ln y,
+    Li_1 = -ln(1 - y), Li_2 comes from Euler's reflection Li2(y) + Li2(1-y)
+    = pi^2/6 - ln(y) ln(1-y) with the series at 1 - y, and Li_3 from its
+    log-series in x, so the result stays accurate to ~1e-15.  Li_1(1)
+    diverges and raises.
 
     Parameters
     ----------
@@ -197,10 +159,16 @@ def polylog(s: int, y: float) -> float:
         if s == 1:
             raise DomainError("Li_1(1) diverges")
         return _PI2_6 if s == 2 else ZETA_3
-    x = -math.log(y) if y > 0.0 else math.inf
-    with np.errstate(all="ignore"):
-        values = _polylogs(np.array([float(y)]), np.array([x]))
-    return float(values[s - 1][0])
+    if y <= _SERIES_THRESHOLD:
+        return _series(s, y)
+    x = -math.log(y)
+    complement = -math.expm1(-x)  # 1 - y, to full relative precision
+    if s == 1:
+        return -math.log(complement)
+    if s == 2:
+        return _PI2_6 + x * math.log(complement) - _series(2, complement)
+    powers = math.fsum(c * x**k for k, c in enumerate(_LI3_LOG_SERIES, 1))
+    return ZETA_3 + powers - 0.5 * x * x * math.log(x)
 
 
 def inner_mode_integral(a, h: float):
@@ -253,7 +221,7 @@ def inner_mode_integral(a, h: float):
 # any run of levels is one slice.  A table is (nodes, level bounds, level
 # weights, first-pass weights).
 _DE_LEVELS = 7
-_DE_FIRST_LEVELS = 3
+_DE_FIRST_LEVELS = 4
 _EPS = 2.0**-52  # double-precision machine epsilon
 _TINY = np.finfo(float).tiny
 
@@ -303,7 +271,7 @@ def integrate_exp_sinh(
     whose rows are M integrands sampled on the same nodes.  With t =
     exp(pi/2 sinh u), u in [-4.5, 2], the rule converges doubly
     exponentially for integrands analytic on (0, inf) that decay
-    exponentially, endpoint singularities at t = 0 included: 53 nodes,
+    exponentially, endpoint singularities at t = 0 included: 105 nodes,
     then up to 833 (``_integrate_de`` has the refinement and error estimate).
     ``evaluations`` counts the nodes, the same for every row.  For a one-row
     ``f`` the other fields of the result are a float and a bool; for M rows,
@@ -318,7 +286,7 @@ def integrate_tanh_sinh(
     """Integral of ``f`` over (0, 1) by the nested tanh-sinh rule.
 
     As ``integrate_exp_sinh``, on x = 1/(1 + exp(-pi sinh u)), u in
-    [-3.2, 3.2] (51 nodes, then up to 819); the nodes run from x = 2e-17 to
+    [-3.2, 3.2] (103 nodes, then up to 819); the nodes run from x = 2e-17 to
     x = 1 after rounding, so endpoint singularities are fine to that extent.
     """
     return _integrate_de(_TANH_SINH, f, rel_tol)
@@ -327,11 +295,12 @@ def integrate_tanh_sinh(
 def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
     """The refinement loop of both node tables.
 
-    The first pass evaluates levels 0-2 (steps 1/2 to 1/8) in one call of
-    ``f``; each further pass adds one level.  Error estimate, per row, from
-    the changes d_k = |S_k - S_k-1| of the level sums: d_k at the first
-    pass, then d_k times the larger of the last two reduction ratios
-    d_k/d_k-1 and d_k-1/d_k-2 (each capped at 1), which bounds the error
+    The first pass evaluates levels 0-3 (steps 1/2 to 1/16) in one call of
+    ``f``, where most of the package's integrals converge; each
+    further pass adds one level.  Error estimate, per row and at every pass
+    alike, from the changes d_k = |S_k - S_k-1| of the level sums: d_k
+    times the larger of the last two reduction ratios d_k/d_k-1 and
+    d_k-1/d_k-2 (each capped at 1), which bounds the error
     while the doubly exponential convergence does not slow down and cannot
     be made small by one level landing near the value by chance; plus a
     round-off floor N eps sum |w f| over the N nodes used.  It stops once
@@ -341,14 +310,15 @@ def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
     nodes, bounds, level_weights, first_sums = table
     last = bounds[_DE_FIRST_LEVELS]
     values = f(nodes[:last])
-    s1, s2, s = (values @ first_sums).T
+    s1, s2, s3, s = (values @ first_sums).T
     magnitude = np.abs(values) @ first_sums[:, -1]
-    d = abs(s - s2)
-    ratio = _capped_ratio(d, abs(s2 - s1))
-    error, level = d, _DE_FIRST_LEVELS
+    d_previous, d = abs(s3 - s2), abs(s - s3)
+    previous_ratio = _capped_ratio(d_previous, abs(s2 - s1))
+    ratio, level = _capped_ratio(d, d_previous), _DE_FIRST_LEVELS
     while True:
-        # magnitude holds 2^-level sum |w f|, so this is the round-off floor
-        error = error + last * _EPS * magnitude
+        # magnitude holds 2^-level sum |w f|, so the last term is the
+        # round-off floor
+        error = d * np.maximum(ratio, previous_ratio) + last * _EPS * magnitude
         converged = error <= rel_tol * abs(s)
         done = converged.all()
         if done or level == _DE_LEVELS:
@@ -361,7 +331,6 @@ def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
         magnitude = 0.5 * magnitude + np.abs(values) @ weights
         d_previous, d = d, abs(s - previous)
         previous_ratio, ratio = ratio, _capped_ratio(d, d_previous)
-        error = d * np.maximum(ratio, previous_ratio)
     # a converged row is finite, so only an unconverged result can hide one
     if not done and not np.isfinite(s).all():
         raise IntegrationFailureError("quadrature returned a non-finite value")

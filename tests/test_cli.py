@@ -262,10 +262,10 @@ class TestConfigPrecedence:
         assert main(["force"]) == 0
         baseline = parse_csv(capsys.readouterr().out)[1][0]
 
-        monkeypatch.setenv(cli_mod.RELTOL_ENV, "1e-3")
+        monkeypatch.setenv(cli_mod.RELTOL_ENV, "1e-12")
         assert main(["force"]) == 0
-        loose = parse_csv(capsys.readouterr().out)[1][0]
-        assert int(loose["evaluations"]) < int(baseline["evaluations"])
+        tight = parse_csv(capsys.readouterr().out)[1][0]
+        assert int(tight["evaluations"]) > int(baseline["evaluations"])
 
         assert main(["force", "--rel-tol", "1e-9"]) == 0
         overridden = parse_csv(capsys.readouterr().out)[1][0]

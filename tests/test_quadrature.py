@@ -20,7 +20,7 @@ from casimir_medium import (
     integrate_exp_sinh,
     polylog,
 )
-from casimir_medium.quadrature import _DEBYE_SERIES, ZETA_3
+from casimir_medium.quadrature import _DEBYE_SERIES, ZETA_3, integrate_tanh_sinh
 
 from .conftest import mp_inner_mode_integral
 
@@ -300,6 +300,36 @@ class TestIntegrateExpSinh:
         assert rows.evaluations == 833
         assert rows.value[0] == pytest.approx(1.0, rel=1e-13)
         assert rows.error_estimate[1] > 1e-12 * rows.value[1]
+
+
+# closed forms on both node tables; x^-1/2 on (0, 1) is left out, because
+# the tanh-sinh nodes stop at x = 2e-17, which drops about 9e-9 of it
+CLOSED_FORMS = [
+    (integrate_exp_sinh, lambda t: np.exp(-t), 1.0),
+    (integrate_exp_sinh, lambda t: np.exp(-t) / np.sqrt(t), math.sqrt(math.pi)),
+    (integrate_exp_sinh, lambda t: t**3 / np.expm1(t), math.pi**4 / 15.0),
+    (integrate_tanh_sinh, lambda x: 4.0 / (1.0 + x * x), math.pi),
+    (integrate_tanh_sinh, lambda x: -np.log(x), 1.0),
+]
+
+
+class TestFirstPass:
+    @pytest.mark.parametrize("rule, nodes", [
+        (integrate_exp_sinh, 105), (integrate_tanh_sinh, 103),
+    ])
+    def test_first_pass_covers_levels_0_to_3(self, rule, nodes):
+        res = rule(lambda t: np.exp(-t), 1e-3)
+        assert res.converged
+        assert res.evaluations == nodes
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("rule, f, exact", CLOSED_FORMS,
+                             ids=["exp", "inv-sqrt", "bose", "arctan", "log"])
+    def test_converged_estimate_bounds_the_error(self, rule, f, exact, rel_tol):
+        res = rule(f, rel_tol)
+        if res.converged:
+            assert abs(res.value - exact) <= res.error_estimate
+            assert res.error_estimate <= rel_tol * abs(res.value)
 
 
 class TestIntegrate1D:
