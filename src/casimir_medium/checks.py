@@ -19,7 +19,6 @@ from .forces import (
     force_field_bc,
     force_via_action_fd,
     nondispersive_scaling_check,
-    vacuum_force_analytic,
 )
 from .medium import Drude, FieldKind, Lorentz, Medium, kk_imaginary_axis
 from .propagators import MomentumFrequencyPoint, dyson_partial_sum, g0, g_phiphi
@@ -91,12 +90,8 @@ def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
     bound = min(spec.rel_tol, 1e-6)
     results = []
 
-    worst = 0.0
-    for h in H_GRID:
-        got = force_field_bc(
-            ForceQuery(kind=FieldKind.SCALAR, separation=h, spec=spec)
-        ).force_per_area
-        worst = max(worst, abs(got / vacuum_force_analytic(FieldKind.SCALAR, h) - 1.0))
+    worst = max(abs(force_field_bc(ForceQuery(separation=h, spec=spec)).vacuum_ratio - 1.0)
+                for h in H_GRID)
     results.append(
         CheckResult(
             name="vacuum scalar limit",
@@ -119,7 +114,7 @@ def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
             detail="exact: same integral, multiplier 2",
         )
     )
-    em_dev = abs(em.force_per_area / vacuum_force_analytic(FieldKind.EM, 1.0) - 1.0)
+    em_dev = abs(em.vacuum_ratio - 1.0)
     results.append(
         CheckResult(
             name="vacuum em limit",

@@ -141,9 +141,12 @@ def _default_rel_tol() -> float:
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise MediumFileError(f"out: {out}: {err.strerror or err}") from err
 
 
 def _separation_grid(hmin: float, hmax: float, points: int, log: bool) -> list[float]:

@@ -15,11 +15,11 @@ J(x) = (2H)^3 I, an O(1) integral at every separation.  Signs follow the
 attractive convention: forces are negative.
 
 The force with boundary conditions imposed on the polarization field instead
-of the field itself has no closed inner integral; it runs the same exp-sinh
-rule at both levels of a nested integral in t and v = 2 H E.  The module also
+of the field itself has no closed inner integral; it is a nested integral in
+t and v = 2 H E on ``quadrature.integrate_nested``.  The module also
 provides an independent route used only to check the field-BC one: a
-finite-difference derivative of the effective action, integrated over
-(t, 2 H q) by the same nested exp-sinh rule.
+finite-difference derivative of the effective action, a nested integral over
+(t, 2 H q) on the same helper.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .quadrature import (
     QuadratureSpec,
     inner_mode_integral,
     integrate_exp_sinh,
+    integrate_nested,
 )
 
 __all__ = [
@@ -118,14 +119,26 @@ class ForceResult:
 def vacuum_force_analytic(kind: FieldKind, separation: float) -> float:
     """Ideal-mirror vacuum force: -pi^2/(480 H^4) scalar, doubled for EM."""
     _check_separation(separation)
-    h4 = separation**4
-    base = -_PI2 / (480.0 * h4)
+    base = -_PI2 / (480.0 * separation**4)
     return 2.0 * base if kind is FieldKind.EM else base
 
 
 def _gap_frequency(medium: Medium, kind: FieldKind, p0):
     # n(p0) * p0, the in-plane mass gap of the mode; p0 may be an array
     return medium.refractive_index(kind, p0) * p0
+
+
+def _force_result(h: float, kind: FieldKind, prefactor: float, res) -> ForceResult:
+    # the force is -prefactor times the integral ``res``
+    force = -prefactor * res.value
+    return ForceResult(
+        separation=h,
+        force_per_area=force,
+        error_estimate=prefactor * res.error_estimate,
+        evaluations=res.evaluations,
+        vacuum_ratio=force / vacuum_force_analytic(kind, h),
+        converged=res.converged,
+    )
 
 
 def force_field_bc(query: ForceQuery) -> ForceResult:
@@ -148,16 +161,7 @@ def force_field_bc(query: ForceQuery) -> ForceResult:
         return inner_mode_integral(_gap_frequency(medium, kind, t * inv2h), h)
 
     res = integrate_exp_sinh(integrand, query.spec.rel_tol)
-    prefactor = query.multiplicity / (2.0 * _PI2) * inv2h
-    force = -prefactor * res.value
-    return ForceResult(
-        separation=h,
-        force_per_area=force,
-        error_estimate=prefactor * res.error_estimate,
-        evaluations=res.evaluations,
-        vacuum_ratio=force / vacuum_force_analytic(kind, h),
-        converged=res.converged,
-    )
+    return _force_result(h, kind, query.multiplicity / (2.0 * _PI2) * inv2h, res)
 
 
 def _is_zero_model(model) -> bool:
@@ -187,12 +191,10 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     with n(p0) the scalar refractive index (``Medium.refractive_index``) and
     D = alpha - exp(-2EH) written without cancellation (the literal
     difference rounds to zero for chi_bar(0) = 1 media at the rule's
-    smallest t).  Both integrals run on the exp-sinh rule.  The p0-only
-    factors are evaluated once per outer node, and the inner integrals (in
-    v - n t) of all new outer nodes of a pass are one array of rows, each
-    held to a tenth of ``rel_tol``; the outer rule gets the other nine
-    tenths, so ``converged`` means the error estimate, outer plus inner, is
-    within ``rel_tol`` of the force at every separation.
+    smallest t).  It runs on ``integrate_nested``: the p0-only factors once
+    per outer node, the v - n t integrals of a pass as one block of rows.
+    ``converged`` means the error estimate is within ``rel_tol`` of the
+    force at every separation.
 
     The absorptive part is read off the real axis at a frequency equal to
     the Euclidean one (chi_bar itself is strictly real; lossless models
@@ -208,25 +210,16 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         raise DomainError(
             "polarization boundary conditions are implemented for the scalar field"
         )
-    medium, h = query.medium, query.separation
-    if _is_zero_model(medium.electric):
-        return ForceResult(
-            separation=h,
-            force_per_area=0.0,
-            error_estimate=0.0,
-            evaluations=0,
-            vacuum_ratio=0.0,
-            converged=True,
-        )
+    electric, h = query.medium.electric, query.separation
+    if _is_zero_model(electric):
+        # literal +0.0: -prefactor * 0.0 would give a vacuum_ratio of -0
+        return ForceResult(separation=h, force_per_area=0.0, error_estimate=0.0,
+                           evaluations=0, vacuum_ratio=0.0, converged=True)
 
-    electric = medium.electric
     inv2h = 0.5 / h
-    inner_tol = 0.1 * query.spec.rel_tol
-    inner_evaluations, inner_rel_error, inner_converged = 0, 0.0, True
 
-    def integrand(t):
+    def integrand(t, inner):
         # one inner integral per outer node t = 2 H p0, all in one rule call
-        nonlocal inner_evaluations, inner_rel_error, inner_converged
         p0 = t * inv2h
         chi = electric.chi_bar(p0)
         n = np.sqrt(1.0 + chi)  # Medium.refractive_index, from this chi
@@ -250,29 +243,12 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
             # exp(-v0) comes out of the row, so far rows do not underflow
             return chi2 * v * v * np.exp(-s) / den
 
-        res = integrate_exp_sinh(rows, inner_tol)
-        inner_evaluations += res.evaluations * chi.size
-        inner_converged = inner_converged and bool(res.converged.all())
-        # rows are positive, so the largest relative row error bounds the
-        # inner part of the outer integral's error
-        inner_rel_error = max(
-            inner_rel_error, float(np.max(res.error_estimate / res.value, initial=0.0))
-        )
         values = np.zeros(t.shape)
-        values[live] = res.value * np.exp(-v0[:, 0])
+        values[live] = inner(rows) * np.exp(-v0[:, 0])
         return values
 
-    res = integrate_exp_sinh(integrand, query.spec.rel_tol - inner_tol)
-    prefactor = inv2h**4 / (2.0 * _PI2)
-    force = -prefactor * res.value
-    return ForceResult(
-        separation=h,
-        force_per_area=force,
-        error_estimate=prefactor * (res.error_estimate + inner_rel_error * res.value),
-        evaluations=res.evaluations + inner_evaluations,
-        vacuum_ratio=force / vacuum_force_analytic(FieldKind.SCALAR, h),
-        converged=res.converged and inner_converged,
-    )
+    res = integrate_nested(integrand, query.spec.rel_tol)
+    return _force_result(h, FieldKind.SCALAR, inv2h**4 / (2.0 * _PI2), res)
 
 
 def mode_logdet(energy: float, separation: float) -> float:
@@ -301,9 +277,8 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
     integral, and differencing first avoids cancellation between two large
     action values).  In t = 2 H p0 and r = 2 H q, with v = hypot(n t, r),
     the integrand is r [ln(1 - exp(-v (1 + delta/H))) - (delta -> -delta)],
-    integrated like the polarization route: the r integrals of an outer
-    pass are the rows of one exp-sinh call, held to a tenth of ``rel_tol``;
-    if any misses its tolerance, or the outer rule does, it raises
+    integrated like the polarization route on ``integrate_nested``, with
+    the r integrals as rows; if it misses ``rel_tol``, it raises
     IntegrationFailureError.  The truncation error is O(delta^2) by
     construction, which is what this route exists to demonstrate.
     """
@@ -315,24 +290,19 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
         )
     medium, kind, h = query.medium, query.kind, query.separation
     inv2h, step = 0.5 / h, delta / h
-    inner_tol = 0.1 * query.spec.rel_tol
-    inner_converged = True
 
-    def integrand(t):
+    def integrand(t, inner):
         # one r integral per outer node t, all in one rule call
-        nonlocal inner_converged
         nt = _gap_frequency(medium, kind, t * inv2h)[:, None] * (2.0 * h)
 
         def rows(r):
             v = np.hypot(nt, r)
             return r * (_log1mexp(v * (1.0 + step)) - _log1mexp(v * (1.0 - step)))
 
-        res = integrate_exp_sinh(rows, inner_tol)
-        inner_converged = inner_converged and bool(res.converged.all())
-        return res.value
+        return inner(rows)
 
-    res = integrate_exp_sinh(integrand, query.spec.rel_tol - inner_tol)
-    if not (res.converged and inner_converged):
+    res = integrate_nested(integrand, query.spec.rel_tol)
+    if not res.converged:
         raise IntegrationFailureError(f"action integral at H = {h:g} did not converge")
     return -query.multiplicity / (4.0 * _PI2) * inv2h**3 / (2.0 * delta) * res.value
 

@@ -10,10 +10,11 @@ which ``inner_mode_integral`` sums from one short series on whole arrays
 
 Every integral the package computes runs on one nested double-exponential
 engine that evaluates its integrand on whole arrays of nodes, and many
-integrands at once as the rows of one array.  It has two node tables:
-``integrate_exp_sinh`` on the half-line (the force routes and the action
-route) and ``integrate_tanh_sinh`` on (0, 1) (the dispersion transform).
-Its first pass takes 105 (exp-sinh) or 103 (tanh-sinh) nodes at once.
+integrands at once as the rows of one array.  Its node tables are
+``integrate_exp_sinh`` on the half-line (first pass 105 nodes; the field
+route) and ``integrate_tanh_sinh`` on (0, 1) (103; the dispersion
+transform).  ``integrate_nested`` runs exp-sinh at both levels of the
+polarization and action routes and alone splits their tolerance.
 
 The exported oracles ``integrate_1d`` (QUADPACK via scipy, imported on first
 use; the ``test`` extra brings it) and ``integrate_2d_oracle``, built on it,
@@ -37,6 +38,7 @@ __all__ = [
     "inner_mode_integral",
     "integrate_exp_sinh",
     "integrate_tanh_sinh",
+    "integrate_nested",
     "integrate_1d",
     "integrate_2d_oracle",
     "ZETA_3",
@@ -343,6 +345,36 @@ def _capped_ratio(newer, older):
     # newer/older capped at 1 (no reduction), elementwise; the tiny term
     # only keeps 0/0 out, where the ratio multiplies a zero change anyway
     return newer / (np.maximum(newer, older) + _TINY)
+
+
+def integrate_nested(outer: Callable, rel_tol: float) -> IntegralResult:
+    """Double integral over [0, inf)^2 on the exp-sinh rule at both levels.
+
+    ``outer(t, inner)`` gives one value per outer node t and integrates its
+    inner rows by passing ``inner`` a row function as ``integrate_exp_sinh``
+    takes it, which returns the row values.  The rows get a tenth of
+    ``rel_tol``, the outer rule the rest.  The error estimate is the outer
+    one plus the largest relative row error times |value| (a bound for rows
+    of one sign; an exactly-zero row adds nothing); ``converged`` needs the
+    outer rule and every row; ``evaluations`` counts the outer nodes plus
+    the inner nodes of every row.
+    """
+    inner_tol = 0.1 * rel_tol
+    evaluations, rel_error, converged = 0, 0.0, True
+
+    def inner(rows):
+        nonlocal evaluations, rel_error, converged
+        res = integrate_exp_sinh(rows, inner_tol)
+        error, value = np.atleast_1d(res.error_estimate, np.abs(res.value))
+        live = value > 0.0
+        evaluations += res.evaluations * value.size
+        rel_error = max(rel_error, float(np.max(error[live] / value[live], initial=0.0)))
+        converged = converged and bool(np.all(res.converged))
+        return res.value
+
+    res = integrate_exp_sinh(lambda t: outer(t, inner), rel_tol - inner_tol)
+    return IntegralResult(res.value, res.error_estimate + rel_error * abs(res.value),
+                          res.evaluations + evaluations, res.converged and converged)
 
 
 def integrate_1d(

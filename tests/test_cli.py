@@ -143,6 +143,26 @@ class TestForceCommand:
         _, rows = parse_csv(text)
         assert rows[0]["converged"] == "true"
 
+    @pytest.mark.parametrize("command, target", [
+        (["force"], "missing/x.csv"),
+        (["force"], "."),
+        (["propagator", "--point", "1,2"], "missing/x.csv"),
+        (["force", "--config", "cfg.json"], "missing/x.csv"),
+    ], ids=["force-missing-dir", "force-directory", "propagator-missing-dir",
+            "config-out-key"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, command, target):
+        path = str(tmp_path / target)
+        if "--config" in command:
+            (tmp_path / "cfg.json").write_text(json.dumps({"out": path}))
+            argv = command[:-1] + [str(tmp_path / "cfg.json")]
+        else:
+            argv = command + ["--out", path]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: out: {path}: ")
+
     def test_unconverged_exit_code(self, capsys):
         rc = main(["force", "--rel-tol", "1e-15"])
         out = capsys.readouterr().out

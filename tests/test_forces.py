@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -336,6 +337,25 @@ class TestPolarizationBoundaryCondition:
             self._force(medium, h)
         assert err.value.p0 > 0.0 and err.value.q >= 0.0
         assert err.value.denominator <= 0.0
+
+    @pytest.mark.parametrize("chi0", [1.0, 1.5, 2.0, 4.0, 15.0])
+    @pytest.mark.parametrize("h", [1e-3, 0.5, 1.0, 2.0, 5.0, 1e3, 1e5])
+    def test_constant_medium_closed_form(self, chi0, h):
+        # chi_bar = chi0 and no absorption: expanding 1/(chi0^2 - e^-v) in
+        # powers of e^-v/chi0^2 sums the modes to Li_4, at every separation
+        spec = QuadratureSpec()
+        res = self._force(Medium(electric=Constant(chi0)), h, spec)
+        n0 = math.sqrt(1.0 + chi0)
+        li4 = float(mp.polylog(4, 1.0 / chi0**2))
+        closed = 90.0 * chi0**2 * li4 / (math.pi**4 * n0)
+        assert res.converged
+        assert abs(res.vacuum_ratio / closed - 1.0) <= spec.rel_tol
+
+    @pytest.mark.parametrize("chi0", [0.5, 0.99])
+    def test_constant_medium_below_one_refused(self, chi0):
+        # chi0^2 < 1 makes the mode denominator chi0^2 - e^-v negative at small v
+        with pytest.raises(InvalidRegimeError):
+            self._force(Medium(electric=Constant(chi0)), 1.0)
 
     def test_inner_evaluations_counted(self):
         res = self._force(self.LORENTZ, 1.4)

@@ -11,16 +11,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_medium import (
+    Constant,
     DomainError,
+    ForceQuery,
     IntegrationFailureError,
+    InvalidRegimeError,
+    Medium,
     QuadratureSpec,
+    force_field_bc,
+    force_via_action_fd,
     inner_mode_integral,
     integrate_1d,
     integrate_2d_oracle,
     integrate_exp_sinh,
     polylog,
 )
-from casimir_medium.quadrature import _DEBYE_SERIES, ZETA_3, integrate_tanh_sinh
+from casimir_medium.quadrature import (
+    _DEBYE_SERIES,
+    ZETA_3,
+    integrate_nested,
+    integrate_tanh_sinh,
+)
 
 from .conftest import mp_inner_mode_integral
 
@@ -330,6 +341,67 @@ class TestFirstPass:
         if res.converged:
             assert abs(res.value - exact) <= res.error_estimate
             assert res.error_estimate <= rel_tol * abs(res.value)
+
+
+def _gompertz(t, inner):
+    # integral_0^inf e^-t integral_0^inf e^-(1+t)s ds dt = e E_1(1)
+    rate = (1.0 + t)[:, None]
+    return np.exp(-t) * inner(lambda s: np.exp(-rate * s))
+
+
+GOMPERTZ = 0.59634736232319407
+
+
+class TestIntegrateNested:
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9, 1e-12])
+    def test_closed_form_within_estimate(self, rel_tol):
+        res = integrate_nested(_gompertz, rel_tol)
+        assert res.converged
+        assert abs(res.value - GOMPERTZ) <= res.error_estimate
+        assert res.error_estimate <= rel_tol * res.value
+
+    def test_evaluations_count_outer_and_inner_nodes(self):
+        seen = {"outer": 0, "inner": 0}
+
+        def outer(t, inner):
+            seen["outer"] += t.size
+            rate = (1.0 + t)[:, None]
+
+            def rows(s):
+                seen["inner"] += rate.size * s.size
+                return np.exp(-rate * s)
+
+            return np.exp(-t) * inner(rows)
+
+        res = integrate_nested(outer, 1e-9)
+        assert seen["outer"] >= 105
+        assert res.evaluations == seen["outer"] + seen["inner"]
+
+    def test_unreachable_tolerance_flagged(self):
+        res = integrate_nested(_gompertz, 1e-15)
+        assert math.isfinite(res.value) and math.isfinite(res.error_estimate)
+        assert not res.converged
+        assert res.value == pytest.approx(GOMPERTZ, rel=1e-13)
+
+    def test_row_exception_propagates(self):
+        refusal = InvalidRegimeError(0.5, 1.0, -1e-3)
+
+        def outer(t, inner):
+            def rows(s):
+                raise refusal
+            return inner(rows)
+
+        with pytest.raises(InvalidRegimeError) as err:
+            integrate_nested(outer, 1e-9)
+        assert err.value is refusal
+
+    def test_zero_rows_add_nothing(self):
+        # at n = 1000, e^-1000t underflows: rows of outer nodes t > 0.75 are exactly 0
+        query = ForceQuery(medium=Medium(electric=Constant(1e6)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value = force_via_action_fd(query, 1e-3)
+        assert value == pytest.approx(force_field_bc(query).force_per_area, rel=1e-5)
 
 
 class TestIntegrate1D:
