@@ -15,14 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forces import (
+    BoundaryCondition,
     ForceQuery,
     force_field_bc,
+    force_polarization_bc,
     force_via_action_fd,
     nondispersive_scaling_check,
 )
-from .medium import Drude, FieldKind, Lorentz, Medium, kk_imaginary_axis
+from .medium import Constant, Drude, FieldKind, Lorentz, Medium, kk_imaginary_axis
 from .propagators import MomentumFrequencyPoint, dyson_partial_sum, g0, g_phiphi
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, _series
 
 __all__ = [
     "CheckResult",
@@ -36,6 +38,8 @@ __all__ = [
 # separations (natural units) used by the limit checks
 H_GRID = (0.5, 1.0, 2.0, 5.0)
 CHI0_GRID = (0.25, 1.25, 3.0, 15.0)
+POLARIZATION_CHI0_GRID = (1.0, 2.0, 4.0, 15.0)
+POLARIZATION_H_GRID = (1e-3, *H_GRID, 1e5)
 DYSON_SEED = 20240811
 DYSON_POINTS = 50
 DYSON_MAX_ORDER = 30
@@ -64,9 +68,17 @@ class CheckResult:
         return line
 
 
+def _line(name: str, deviations, bound: float, detail: str = "") -> CheckResult:
+    """A line that passes when the worst of ``deviations`` is at most ``bound``."""
+    measured = max(deviations)
+    return CheckResult(name=name, passed=measured <= bound, measured=measured,
+                       bound=bound, detail=detail)
+
+
 def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
-    """Vacuum limits, EM polarization doubling, constant-medium scaling and
-    the far-separation closed forms of the field-BC ``vacuum_ratio``.
+    """Vacuum limits, EM polarization doubling, constant-medium scaling for
+    both boundary conditions and the far-separation closed forms of the
+    field-BC ``vacuum_ratio``.
 
     Far above the medium's wavelength that ratio, integral J(n(t/2H) t) dt /
     (pi^4/15) with J as in ``inner_mode_integral``, follows from n(p0) near 0;
@@ -83,64 +95,46 @@ def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
     A line passes when |ratio/closed - 1| <= |r|/H^2 + rel_tol at each H in
     ``FAR_H_GRID``, from 1e4 up, where the next terms (O(1/H^4) Drude, O(1/H^3)
     Lorentz) stay below 1e-13, so the lines hold down to the round-off floor.
-    The vacuum and constant-medium lines are exact up to the quadrature, so
-    they are bounded by rel_tol, and never looser than 1e-6.
+
+    The polarization-BC ratio of Constant(chi0 >= 1) is exact at every H (the
+    static limit of Lifshitz, Sov. Phys. JETP 2 (1956) 73): with Im chi = 0
+    the route integrates g(v) = chi0^2 v^2 e^-v/(chi0^2 - e^-v) over v >= n0 t,
+    integral dt integral_{n0 t} g dv = (1/n0) integral v g dv, and the series
+    in e^-v/chi0^2 gives integral v^3 e^-v/(1 - e^-v/chi0^2) dv = 6 chi0^2
+    Li_4(chi0^-2).  Over the vacuum's pi^4/15: 90 chi0^2 Li_4(chi0^-2)/(pi^4
+    n0), with Li_4(1) = zeta(4) = pi^4/90 and the series for chi0^-2 <= 1/4.
+
+    The vacuum and both constant-medium lines are exact up to the quadrature,
+    so they are bounded by rel_tol, and never looser than 1e-6.
     """
     spec = spec or QuadratureSpec()
     bound = min(spec.rel_tol, 1e-6)
-    results = []
-
-    worst = max(abs(force_field_bc(ForceQuery(separation=h, spec=spec)).vacuum_ratio - 1.0)
-                for h in H_GRID)
-    results.append(
-        CheckResult(
-            name="vacuum scalar limit",
-            passed=worst <= bound,
-            measured=worst,
-            bound=bound,
-            detail=f"H in {H_GRID}",
-        )
-    )
-
     scalar = force_field_bc(ForceQuery(kind=FieldKind.SCALAR, separation=1.0, spec=spec))
     em = force_field_bc(ForceQuery(kind=FieldKind.EM, separation=1.0, spec=spec))
-    doubling = abs(em.force_per_area - 2.0 * scalar.force_per_area)
-    results.append(
-        CheckResult(
-            name="em polarization doubling",
-            passed=doubling == 0.0,
-            measured=doubling,
-            bound=0.0,
-            detail="exact: same integral, multiplier 2",
-        )
-    )
-    em_dev = abs(em.vacuum_ratio - 1.0)
-    results.append(
-        CheckResult(
-            name="vacuum em limit",
-            passed=em_dev <= bound,
-            measured=em_dev,
-            bound=bound,
-        )
-    )
-
-    worst = 0.0
-    for chi0 in CHI0_GRID:
-        expected = 1.0 / math.sqrt(1.0 + chi0)
-        for h in H_GRID:
-            ratio = nondispersive_scaling_check(
-                chi0, FieldKind.SCALAR, separation=h, spec=spec
-            )
-            worst = max(worst, abs(ratio / expected - 1.0))
-    results.append(
-        CheckResult(
-            name="constant-medium scaling",
-            passed=worst <= bound,
-            measured=worst,
-            bound=bound,
-            detail=f"chi0 in {CHI0_GRID}, H in {H_GRID}",
-        )
-    )
+    polarization = []
+    for chi0 in POLARIZATION_CHI0_GRID:
+        li4 = math.pi**4 / 90.0 if chi0 == 1.0 else _series(4, chi0**-2)
+        closed = 90.0 * chi0**2 * li4 / (math.pi**4 * math.sqrt(1.0 + chi0))
+        for h in POLARIZATION_H_GRID:
+            query = ForceQuery(medium=Medium(electric=Constant(chi0)),
+                               bc=BoundaryCondition.POLARIZATION, separation=h, spec=spec)
+            polarization.append(abs(force_polarization_bc(query).vacuum_ratio / closed - 1.0))
+    results = [
+        _line("vacuum scalar limit",
+              [abs(force_field_bc(ForceQuery(separation=h, spec=spec)).vacuum_ratio - 1.0)
+               for h in H_GRID], bound, f"H in {H_GRID}"),
+        _line("em polarization doubling",
+              [abs(em.force_per_area - 2.0 * scalar.force_per_area)], 0.0,
+              "exact: same integral, multiplier 2"),
+        _line("vacuum em limit", [abs(em.vacuum_ratio - 1.0)], bound),
+        _line("constant-medium scaling",
+              [abs(nondispersive_scaling_check(chi0, separation=h, spec=spec)
+                   / (1.0 / math.sqrt(1.0 + chi0)) - 1.0)
+               for chi0 in CHI0_GRID for h in H_GRID],
+              bound, f"chi0 in {CHI0_GRID}, H in {H_GRID}"),
+        _line("polarization constant-medium", polarization, bound,
+              f"chi0 in {POLARIZATION_CHI0_GRID}, H in {POLARIZATION_H_GRID}"),
+    ]
 
     drude = Drude(omega_p=1.0, gamma=0.5)
     wp2, damping = drude.omega_p**2, drude.gamma
@@ -155,18 +149,14 @@ def check_limits(spec: QuadratureSpec | None = None) -> list[CheckResult]:
          lambda h: (1.0 - 90.0 * _ZETA_5 * chi1 / (math.pi**4 * n0**3 * h)) / n0,
          5.0 * math.pi**2 / 84.0 * (5.0 * chi1**2 / n0**6 - 4.0 * chi2 / n0**4)),
     ):
-        excess = max(
-            abs(force_field_bc(ForceQuery(medium=Medium(electric=model), separation=h,
-                                          spec=spec)).vacuum_ratio / closed(h) - 1.0)
-            - abs(r) / h**2
-            for h in FAR_H_GRID
-        )
-        results.append(CheckResult(
-            name=f"far-separation {label}",
-            passed=excess <= spec.rel_tol,
-            measured=excess,
-            bound=spec.rel_tol,
-            detail=f"|ratio/closed - 1| - {abs(r):.4g}/H^2, worst of H in {FAR_H_GRID}",
+        results.append(_line(
+            f"far-separation {label}",
+            (abs(force_field_bc(ForceQuery(medium=Medium(electric=model), separation=h,
+                                           spec=spec)).vacuum_ratio / closed(h) - 1.0)
+             - abs(r) / h**2
+             for h in FAR_H_GRID),
+            spec.rel_tol,
+            f"|ratio/closed - 1| - {abs(r):.4g}/H^2, worst of H in {FAR_H_GRID}",
         ))
     return results
 
@@ -175,35 +165,25 @@ def check_kk(spec: QuadratureSpec | None = None) -> list[CheckResult]:
     """Dispersion-transform closure of the closed-form susceptibilities."""
     spec = spec or QuadratureSpec()
     grid = np.geomspace(1e-2, 1e2, 20)
-    results = []
-    for label, model in (
-        ("lorentz", Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)),
-        ("drude", Drude(omega_p=1.0, gamma=0.5)),
-    ):
-        worst = 0.0
-        for xi in grid:
-            direct = model.chi_bar(float(xi))
-            transformed = kk_imaginary_axis(model, float(xi), spec)
-            worst = max(worst, abs(transformed / direct - 1.0))
-        results.append(
-            CheckResult(
-                name=f"kk closure ({label})",
-                passed=worst <= 1e-6,
-                measured=worst,
-                bound=1e-6,
-                detail="20-point log grid, xi in [1e-2, 1e2]",
-            )
+    return [
+        _line(
+            f"kk closure ({label})",
+            (abs(kk_imaginary_axis(model, float(xi), spec) / model.chi_bar(float(xi)) - 1.0)
+             for xi in grid),
+            1e-6, "20-point log grid, xi in [1e-2, 1e2]",
         )
-    return results
+        for label, model in (
+            ("lorentz", Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)),
+            ("drude", Drude(omega_p=1.0, gamma=0.5)),
+        )
+    ]
 
 
-def sample_dyson_points(
-    medium: Medium, count: int = DYSON_POINTS, seed: int = DYSON_SEED
-) -> list[MomentumFrequencyPoint]:
+def sample_dyson_points(medium: Medium) -> list[MomentumFrequencyPoint]:
     """Deterministic sample of real-axis points with contraction ratio < 0.9."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DYSON_SEED)
     points = []
-    while len(points) < count:
+    while len(points) < DYSON_POINTS:
         k = float(rng.uniform(0.0, 3.0))
         omega = float(rng.uniform(0.05, 2.5))
         r = omega * omega * medium.electric.chi_real_axis(omega) * g0(k, omega)
@@ -216,8 +196,7 @@ def check_dyson(spec: QuadratureSpec | None = None) -> list[CheckResult]:
     """Tail bound and closure of the geometric propagator resummation."""
     medium = Medium(electric=Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.3))
     points = sample_dyson_points(medium)
-    worst_bound_excess = -math.inf
-    worst_closure = 0.0
+    bound_excess, closure = [], []
     for point in points:
         closed = g_phiphi(medium, FieldKind.SCALAR, point)
         base = g0(point.k, point.frequency)
@@ -225,30 +204,18 @@ def check_dyson(spec: QuadratureSpec | None = None) -> list[CheckResult]:
             partial = dyson_partial_sum(medium, point, order)
             ratio = abs(partial.ratio)
             bound = abs(base) * ratio ** (order + 1) / (1.0 - ratio)
-            err = abs(partial.value - closed)
-            worst_bound_excess = max(worst_bound_excess, err - bound)
+            bound_excess.append(abs(partial.value - closed) - bound)
         # order picked from the tail bound to push the truncation below 1e-10
         ratio = abs(dyson_partial_sum(medium, point, 0).ratio)
         target = 1e-10
         need = math.log(target * (1.0 - ratio) / abs(base)) / math.log(ratio)
         order = max(0, math.ceil(need) - 1)
-        final = dyson_partial_sum(medium, point, order)
-        worst_closure = max(worst_closure, abs(final.value - closed))
+        closure.append(abs(dyson_partial_sum(medium, point, order).value - closed))
     return [
-        CheckResult(
-            name="dyson tail bound",
-            passed=worst_bound_excess <= 1e-13,
-            measured=worst_bound_excess,
-            bound=0.0,
-            detail=f"{len(points)} sampled points, orders 0..{DYSON_MAX_ORDER}",
-        ),
-        CheckResult(
-            name="dyson closure",
-            passed=worst_closure <= 1e-10,
-            measured=worst_closure,
-            bound=1e-10,
-            detail="truncation order chosen from the tail bound",
-        ),
+        _line("dyson tail bound", bound_excess, 1e-13,
+              f"{len(points)} sampled points, orders 0..{DYSON_MAX_ORDER}"),
+        _line("dyson closure", closure, 1e-10,
+              "truncation order chosen from the tail bound"),
     ]
 
 
@@ -261,7 +228,6 @@ def check_action(spec: QuadratureSpec | None = None) -> list[CheckResult]:
     for delta in (1e-2, 1e-3):
         err[delta] = abs(force_via_action_fd(query, delta) - direct)
     ratio = err[1e-2] / err[1e-3]
-    rel = err[1e-3] / abs(direct)
     return [
         CheckResult(
             name="action-route second order",
@@ -270,13 +236,8 @@ def check_action(spec: QuadratureSpec | None = None) -> list[CheckResult]:
             bound=100.0,
             detail="error ratio for delta 1e-2 vs 1e-3",
         ),
-        CheckResult(
-            name="action-route agreement",
-            passed=rel <= 1e-5,
-            measured=rel,
-            bound=1e-5,
-            detail="relative error at delta 1e-3",
-        ),
+        _line("action-route agreement", [err[1e-3] / abs(direct)], 1e-5,
+              "relative error at delta 1e-3"),
     ]
 
 

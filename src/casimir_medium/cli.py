@@ -37,7 +37,7 @@ from .errors import (
     PoleError,
 )
 from .forces import BoundaryCondition, ForceQuery, force_field_bc, force_polarization_bc
-from .medium import FieldKind, Medium, VACUUM, load_medium
+from .medium import FieldKind, Medium, VACUUM, _read_json, load_medium
 from .propagators import (
     DEFAULT_ETA,
     Axis,
@@ -90,13 +90,7 @@ def _fmt(x: float) -> str:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as err:
-        raise MediumFileError(f"{path}: {err.strerror or err}") from err
-    except json.JSONDecodeError as err:
-        raise MediumFileError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise MediumFileError(f"{path}: config must be a JSON object")
     kinds = {opt.key: opt.kind for opt in _FORCE_OPTIONS}

@@ -341,6 +341,5 @@ def matter_only_force(separation: float) -> float:
     cross-plate entry vanishes at any finite separation and the two-plate
     determinant is independent of H.  The vanishing is exact, not a limit.
     """
-    if not (separation > 0.0 and math.isfinite(separation)):
-        raise DomainError(f"separation must be > 0, got {separation!r}")
+    _check_separation(separation)
     return 0.0

@@ -547,20 +547,26 @@ def medium_from_dict(cfg: object) -> Medium:
     return Medium(electric=electric, magnetic=magnetic)
 
 
-def load_medium(path: str) -> Medium:
-    """Load a medium description from a JSON file.
-
-    Syntax errors report line and column; schema errors report the field.
-    """
+def _read_json(path: str) -> object:
+    """The JSON value in file ``path``; every failure is a MediumFileError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as err:
         raise MediumFileError(f"{path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise MediumFileError(f"{path}: {err}") from err
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise MediumFileError(
             f"{path}:{err.lineno}:{err.colno}: {err.msg}"
         ) from err
-    return medium_from_dict(cfg)
+
+
+def load_medium(path: str) -> Medium:
+    """Load a medium description from a JSON file.
+
+    Syntax errors report line and column; schema errors report the field.
+    """
+    return medium_from_dict(_read_json(path))

@@ -117,6 +117,11 @@ def _check_eta(eta: float) -> None:
         raise DomainError(f"eta must be >= 0, got {eta!r}")
 
 
+def _on_pole(d, scale: float) -> bool:
+    # an unshifted denominator within round-off of its largest term is a pole
+    return abs(d) <= 1e-12 * scale
+
+
 def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
     """Free-field propagator 1/(k^2 - omega^2) with retarded shift eta.
 
@@ -132,7 +137,7 @@ def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
         raise DomainError("free propagator undefined at k = omega = 0")
     d = k * k - omega * omega
     if eta == 0.0:
-        if abs(d) <= 1e-12 * scale:
+        if _on_pole(d, scale):
             raise PoleError(
                 f"on the light cone (k={k:g}, omega={omega:g}) with eta = 0"
             )
@@ -152,7 +157,7 @@ def g_omega(omega_res: float, omega_prime: float, eta: float = DEFAULT_ETA) -> c
     _check_eta(eta)
     d = omega_res * omega_res - omega_prime * omega_prime
     if eta == 0.0:
-        if abs(d) <= 1e-12 * omega_res * omega_res:
+        if _on_pole(d, omega_res * omega_res):
             raise PoleError(f"reservoir pole at omega' = {omega_prime!r}")
         return complex(1.0 / d)
     return 1.0 / complex(d, -eta)
@@ -219,9 +224,11 @@ def g_phiphi(
         chi_m = medium.magnetic.chi_real_axis(omega)
     else:
         chi_m = 0.0 + 0.0j
-    den = k * k * (1.0 - chi_m) - omega * omega * (1.0 + chi_e)
+    stiffness, inertia = k * k * (1.0 - chi_m), omega * omega * (1.0 + chi_e)
+    den = stiffness - inertia
     den -= complex(0.0, eta * _sign(omega))
-    if den == 0:
+    # the shift eta > 0 leaves only an exact zero as a pole
+    if _on_pole(den, max(abs(stiffness), abs(inertia)) if eta == 0.0 else 0.0):
         raise PoleError(
             f"dressed propagator pole at (k={k:g}, omega={omega:g}) with eta = 0"
         )

@@ -302,6 +302,20 @@ class TestMediumErrors:
     def test_missing_medium_file(self, tmp_path, capsys):
         assert main(["force", "--medium", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["force", "--medium"], ["propagator", "--medium"], ["force", "--config"],
+    ])
+    def test_non_utf8_file_is_one_error_line(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"electric": "\xff"}')
+        assert main(command + [str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 14: "
+            "invalid start byte"
+        ]
+
     def test_malformed_medium_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -333,10 +347,17 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 6
+        assert len(lines) == 7
         for line in lines:
             assert line.startswith("PASS ")
             assert "measured" in line and "bound" in line
+
+    @pytest.mark.parametrize("suite", sorted(checks.SUITES))
+    def test_verdict_is_measured_against_bound(self, suite):
+        # the second-order line alone is two-sided: 80 <= ratio <= 120
+        for result in checks.SUITES[suite]():
+            if result.name != "action-route second order":
+                assert result.passed == (result.measured <= result.bound), result
 
     def test_unconverged_suite_exit_code(self, capsys):
         assert main(["check", "action", "--rel-tol", "1e-13"]) == 1

@@ -586,6 +586,9 @@ class TestMatterOnly:
             matter_only_force(0.0)
         with pytest.raises(DomainError):
             matter_only_force(-1.0)
+        for h in (1e-100, 1e100):
+            with pytest.raises(DomainError, match="separation"):
+                matter_only_force(h)
 
 
 class TestForceQueryValidation:

@@ -25,6 +25,7 @@ from casimir_medium import (
     g_phiphi,
     reservoir_gap,
 )
+from casimir_medium.propagators import DEFAULT_ETA
 
 LORENTZ_MEDIUM = Medium(electric=Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.3))
 
@@ -127,9 +128,20 @@ class TestDressedPropagator:
         assert value.real == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_real_axis_reduces_to_g0_in_vacuum(self):
-        for k, w in [(0.5, 1.7), (2.0, 0.3), (1.0, -1.4)]:
-            dressed = g_phiphi(VACUUM, FieldKind.SCALAR, real_point(k, w))
-            free = g0(k, w)
+        # eta = 0 near the light cone: both are poles, or both give one value
+        for k, w, eta in [
+            (0.5, 1.7, DEFAULT_ETA), (2.0, 0.3, DEFAULT_ETA), (1.0, -1.4, DEFAULT_ETA),
+            (0.5, 1.7, 0.0), (0.30000000000000004, 0.3, 0.0),
+            (1.0, -1.0 - 1e-13, 0.0), (1.0, 1.0 + 1e-9, 0.0),
+        ]:
+            point = real_point(k, w)
+            try:
+                free = g0(k, w, eta)
+            except PoleError:
+                with pytest.raises(PoleError):
+                    g_phiphi(VACUUM, FieldKind.SCALAR, point, eta)
+                continue
+            dressed = g_phiphi(VACUUM, FieldKind.SCALAR, point, eta)
             assert dressed == pytest.approx(free, rel=1e-14)
 
     def test_absorptive_medium_moves_pole_off_axis(self):
