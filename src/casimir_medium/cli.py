@@ -263,6 +263,8 @@ def _cmd_propagator(args: argparse.Namespace) -> int:
     field = FieldKind(args.field)
     axis = Axis(args.axis)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
+    if not kinds:
+        raise MediumFileError(f"--kinds is empty; one of {','.join(_PROPAGATOR_KINDS)}")
     for kind in kinds:
         if kind not in _PROPAGATOR_KINDS:
             raise MediumFileError(

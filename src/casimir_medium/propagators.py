@@ -104,22 +104,25 @@ class DysonPartialSum:
     converged: bool
 
 
-def _sign(x: float) -> float:
-    if x > 0.0:
-        return 1.0
-    if x < 0.0:
-        return -1.0
-    return 0.0
-
-
 def _check_eta(eta: float) -> None:
     if not (eta >= 0.0 and math.isfinite(eta)):
         raise DomainError(f"eta must be >= 0, got {eta!r}")
 
 
-def _on_pole(d, scale: float) -> bool:
-    # an unshifted denominator within round-off of its largest term is a pole
-    return abs(d) <= 1e-12 * scale
+def _retarded(stiffness, inertia, frequency: float, eta: float, sign=None) -> complex:
+    """The real-axis 1/(stiffness - inertia - i eta sign), sign = sgn(frequency)."""
+    _check_eta(eta)
+    if not math.isfinite(frequency):
+        raise DomainError(f"frequency must be finite, got {frequency!r}")
+    if stiffness == 0.0 and inertia == 0.0:
+        raise DomainError("propagator undefined at k = omega = 0 (both terms vanish)")
+    d = stiffness - inertia
+    if eta == 0.0:
+        if abs(d) <= 1e-12 * max(abs(stiffness), abs(inertia)):
+            raise PoleError(f"on the pole at frequency {frequency!r} with eta = 0")
+        return complex(1.0 / d)
+    sign = (frequency > 0.0) - (frequency < 0.0) if sign is None else sign
+    return 1.0 / (d - complex(0.0, eta * sign))
 
 
 def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
@@ -127,22 +130,12 @@ def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
 
     The shift enters as 1/(k^2 - omega^2 - i eta sgn(omega)), which is
     negligible away from the light cone and regulates the pole on it.  With
-    eta = 0 an on-cone evaluation raises PoleError.
+    eta = 0 an on-cone evaluation raises PoleError; k = omega = 0 raises
+    DomainError at any eta.
     """
     if not (k >= 0.0 and math.isfinite(k)):
         raise DomainError(f"momentum magnitude must be >= 0, got {k!r}")
-    _check_eta(eta)
-    scale = max(k * k, omega * omega)
-    if scale <= 1e-24:
-        raise DomainError("free propagator undefined at k = omega = 0")
-    d = k * k - omega * omega
-    if eta == 0.0:
-        if _on_pole(d, scale):
-            raise PoleError(
-                f"on the light cone (k={k:g}, omega={omega:g}) with eta = 0"
-            )
-        return complex(1.0 / d)
-    return 1.0 / complex(d, -eta * _sign(omega))
+    return _retarded(k * k, omega * omega, omega, eta)
 
 
 def g_omega(omega_res: float, omega_prime: float, eta: float = DEFAULT_ETA) -> complex:
@@ -150,17 +143,13 @@ def g_omega(omega_res: float, omega_prime: float, eta: float = DEFAULT_ETA) -> c
 
     Normalized per unit mass density.  Carries no momentum dependence at all:
     the reservoir is local, which is what kills the matter-only Casimir
-    force (see ``reservoir_gap``).
+    force (see ``reservoir_gap``).  omega_res > 0 keeps it clear of the origin
+    rule of ``g0``; with eta = 0, w' = +-omega_res is a pole.
     """
     if not (omega_res > 0.0 and math.isfinite(omega_res)):
         raise DomainError(f"reservoir frequency must be > 0, got {omega_res!r}")
-    _check_eta(eta)
-    d = omega_res * omega_res - omega_prime * omega_prime
-    if eta == 0.0:
-        if _on_pole(d, omega_res * omega_res):
-            raise PoleError(f"reservoir pole at omega' = {omega_prime!r}")
-        return complex(1.0 / d)
-    return 1.0 / complex(d, -eta)
+    return _retarded(omega_res * omega_res, omega_prime * omega_prime,
+                     omega_prime, eta, sign=1)
 
 
 def reservoir_gap(omega_res: float, separation: float) -> float:
@@ -180,19 +169,6 @@ def reservoir_gap(omega_res: float, separation: float) -> float:
     return 0.0
 
 
-def _euclidean_denominator(
-    medium: Medium, kind: FieldKind, k: float, xi: float
-) -> float:
-    chi_e = medium.electric.chi_bar(xi)
-    if kind is FieldKind.EM:
-        chi_m = medium.magnetic.chi_bar(xi)
-        if chi_m >= 1.0:
-            raise MediumInstabilityError(xi, chi_m)
-    else:
-        chi_m = 0.0
-    return k * k * (1.0 - chi_m) + xi * xi * (1.0 + chi_e)
-
-
 def g_phiphi(
     medium: Medium,
     kind: FieldKind,
@@ -203,15 +179,20 @@ def g_phiphi(
 
     Euclidean axis: 1/(k^2 (1 - chi_m) + xi^2 (1 + chi_e)), real and
     positive.  Real axis: 1/(k^2 (1 - chi_m) - omega^2 (1 + chi_e)) with the
-    same retarded shift as ``g0`` so the geometric resummation identity holds
+    same retarded shift, pole rule and origin rule as ``g0`` (k = omega = 0
+    raises DomainError), so the geometric resummation identity holds
     exactly at finite eta.  Scalar calculations take chi_m = 0.  Returns
     the complex value (real on the Euclidean axis).
     """
-    _check_eta(eta)
     k = point.k
     if point.axis is Axis.EUCLIDEAN:
+        _check_eta(eta)
         xi = point.frequency
-        den = _euclidean_denominator(medium, kind, k, xi)
+        chi_e = medium.electric.chi_bar(xi)
+        chi_m = medium.magnetic.chi_bar(xi) if kind is FieldKind.EM else 0.0
+        if chi_m >= 1.0:
+            raise MediumInstabilityError(xi, chi_m)
+        den = k * k * (1.0 - chi_m) + xi * xi * (1.0 + chi_e)
         if den <= 0.0:
             raise DegenerateModeError(
                 f"zero mode at (k={k:g}, xi={xi:g}); propagator undefined"
@@ -220,19 +201,8 @@ def g_phiphi(
 
     omega = point.frequency
     chi_e = medium.electric.chi_real_axis(omega)
-    if kind is FieldKind.EM:
-        chi_m = medium.magnetic.chi_real_axis(omega)
-    else:
-        chi_m = 0.0 + 0.0j
-    stiffness, inertia = k * k * (1.0 - chi_m), omega * omega * (1.0 + chi_e)
-    den = stiffness - inertia
-    den -= complex(0.0, eta * _sign(omega))
-    # the shift eta > 0 leaves only an exact zero as a pole
-    if _on_pole(den, max(abs(stiffness), abs(inertia)) if eta == 0.0 else 0.0):
-        raise PoleError(
-            f"dressed propagator pole at (k={k:g}, omega={omega:g}) with eta = 0"
-        )
-    return 1.0 / den
+    chi_m = medium.magnetic.chi_real_axis(omega) if kind is FieldKind.EM else 0j
+    return _retarded(k * k * (1.0 - chi_m), omega * omega * (1.0 + chi_e), omega, eta)
 
 
 def cross_correlators(
@@ -260,7 +230,7 @@ def cross_correlators(
     # static point: no absorption (a Drude chi_real_axis(0) has raised)
     noise_e = medium.electric.im_chi(abs(omega)) if omega else 0.0
     noise_m = medium.magnetic.im_chi(abs(omega)) if omega else 0.0
-    g = g_phiphi(medium, FieldKind.EM, point, eta)
+    g = _retarded(k * k * (1.0 - chi_m), omega * omega * (1.0 + chi_e), omega, eta)
     return CrossCorrelators(
         g_phi_p=1j * omega * chi_e * g,
         g_phi_m=1j * k * omega * chi_m * g,

@@ -179,6 +179,8 @@ class TestForceCommand:
         assert "hmin" in capsys.readouterr().err
         assert main(["force", "--points", "0"]) == 1
         assert "points" in capsys.readouterr().err
+        assert main(["force", "--hmin", "2", "--hmax", "1", "--points", "3"]) == 1
+        assert "hmax" in capsys.readouterr().err
 
     @pytest.mark.parametrize("hmin", ["1e100", "1e-100"])
     def test_separation_out_of_range(self, hmin, capsys):
@@ -433,6 +435,15 @@ class TestPropagatorCommand:
         assert rows[0]["status"] == "pole"
         assert rows[0]["re"] == "" and rows[0]["im"] == ""
 
+    def test_origin_error_rows(self, capsys):
+        # k = omega = 0 is outside G0's and G_phiphi's domain alike
+        rc = main(["propagator", "--point", "0,0", "--kinds", "G0,Gphiphi",
+                   "--field", "scalar"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["error", "error"]
+
     def test_error_row_for_static_drude(self, tmp_path, capsys):
         path = tmp_path / "drude.json"
         path.write_text(json.dumps({
@@ -467,6 +478,14 @@ class TestPropagatorCommand:
     def test_point_required(self, capsys):
         assert main(["propagator"]) == 1
         assert "--point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["", ","])
+    def test_kinds_required(self, raw, capsys):
+        assert main(["propagator", "--point", "1,1", "--kinds", raw]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "--kinds" in captured.err
 
     @pytest.mark.parametrize("raw", ["1", "1,2,3", "a,b"])
     def test_bad_point(self, raw, capsys):

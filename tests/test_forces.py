@@ -598,6 +598,13 @@ class TestForceQueryValidation:
         with pytest.raises(DomainError):
             ForceQuery(separation=-2.0)
 
+    def test_field_routes_refuse_polarization(self):
+        query = ForceQuery(bc=BoundaryCondition.POLARIZATION, separation=1.0)
+        with pytest.raises(DomainError, match="field boundary condition"):
+            force_field_bc(query)
+        with pytest.raises(DomainError, match="field boundary condition"):
+            force_via_action_fd(query, 1e-3)
+
     @pytest.mark.parametrize("h", [1e100, 1e-100])
     def test_separation_where_h4_is_not_a_double(self, h):
         with pytest.raises(DomainError, match="separation"):

@@ -15,6 +15,7 @@ from casimir_medium import (
     DomainError,
     Drude,
     FieldKind,
+    IntegrationFailureError,
     Lorentz,
     Medium,
     MediumFileError,
@@ -115,6 +116,10 @@ class TestLorentz:
 
 
 class TestDrude:
+    def test_parameter_validation(self):
+        with pytest.raises(DomainError, match="omega_p"):
+            Drude(omega_p=0.0, gamma=1.0)
+
     def test_imaginary_axis(self):
         model = Drude(omega_p=1.0, gamma=0.5)
         assert model.chi_bar(1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
@@ -171,6 +176,8 @@ class TestTabulatedCoupling:
             TabulatedCoupling(omega_grid=(1.0, 2.0), g_values=(1.0, -1.0))
         with pytest.raises(DomainError):
             TabulatedCoupling(omega_grid=(1.0, 2.0), g_values=(1.0,))
+        with pytest.raises(DomainError):
+            TabulatedCoupling(omega_grid=(1.0, 2.0), g_values=(1.0, math.nan))
 
     def test_zero_outside_grid(self):
         model = TabulatedCoupling(omega_grid=(1.0, 2.0), g_values=(3.0, 3.0))
@@ -275,6 +282,10 @@ class TestTabulatedCoupling:
         value_zero = model.chi_bar(0.0)
         value_tiny = model.chi_bar(1e-9)
         assert value_tiny == pytest.approx(value_zero, rel=1e-12)
+
+    def test_static_point_on_real_axis(self):
+        # at omega = 0 the principal value is chi_bar(0), with no absorption
+        assert HAT_MODEL.chi_real_axis(0.0) == complex(HAT_MODEL.chi_bar(0.0))
 
 
 class TestArrayEvaluation:
@@ -421,6 +432,12 @@ class TestKramersKronig:
         with pytest.raises(DomainError, match="diverges as omega -> 0"):
             kk_imaginary_axis(Drude(omega_p=1.0, gamma=0.5), 0.0, default_spec)
 
+    def test_unreachable_tolerance_raises(self):
+        # round-off keeps the error estimate above a 1e-15 relative target
+        lor = Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1)
+        with pytest.raises(IntegrationFailureError, match="xi = 0.01"):
+            kk_imaginary_axis(lor, 0.01, QuadratureSpec(rel_tol=1e-15))
+
     def test_tabulated_closure(self, default_spec):
         # for a tabulated model the two routes integrate the same density,
         # so closure holds exactly whatever the grid resolution
@@ -552,6 +569,17 @@ class TestLoader:
     def test_missing_electric_section(self):
         with pytest.raises(MediumFileError, match="electric"):
             medium_from_dict({"magnetic": {"type": "constant", "chi0": 0.1}})
+
+    @pytest.mark.parametrize("cfg, field", [
+        ([], "medium"),
+        ({"electric": 3}, "medium.electric"),
+        ({"electric": {}}, "medium.electric.type"),
+        ({"electric": {"type": "tabulated", "omega_grid": 1, "g_values": [1.0]}},
+         "medium.electric.omega_grid"),
+    ])
+    def test_malformed_section_named(self, cfg, field):
+        with pytest.raises(MediumFileError, match=re.escape(field)):
+            medium_from_dict(cfg)
 
     def test_unknown_top_level_key(self):
         with pytest.raises(MediumFileError, match="thermal"):

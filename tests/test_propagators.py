@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_medium import (
+    Axis,
+    CasimirMediumError,
     Constant,
     DegenerateModeError,
     DomainError,
@@ -74,6 +76,11 @@ class TestFreePropagator:
         with pytest.raises(DomainError):
             g0(-1.0, 1.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, omega):
+        with pytest.raises(DomainError, match="frequency"):
+            g0(1.0, omega)
+
 
 class TestReservoirPropagator:
     def test_off_resonance(self):
@@ -93,6 +100,11 @@ class TestReservoirPropagator:
         with pytest.raises(PoleError):
             g_omega(2.0, 2.0, eta=0.0)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frequency_rejected(self, omega):
+        with pytest.raises(DomainError, match="frequency"):
+            g_omega(1.0, omega)
+
     def test_reservoir_gap_identically_zero(self):
         for h in (1e-6, 0.5, 3.0, 100.0):
             assert reservoir_gap(2.0, h) == 0.0
@@ -100,6 +112,8 @@ class TestReservoirPropagator:
     def test_reservoir_gap_needs_positive_separation(self):
         with pytest.raises(DomainError):
             reservoir_gap(2.0, 0.0)
+        with pytest.raises(DomainError, match="reservoir frequency"):
+            reservoir_gap(0.0, 1.0)
 
 
 class TestDressedPropagator:
@@ -128,21 +142,28 @@ class TestDressedPropagator:
         assert value.real == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_real_axis_reduces_to_g0_in_vacuum(self):
-        # eta = 0 near the light cone: both are poles, or both give one value
+        # near the light cone at eta = 0 and at the origin: both raise the
+        # same error type, or both give one value
+        def outcome(call):
+            try:
+                return call()
+            except CasimirMediumError as err:
+                return type(err)
+
         for k, w, eta in [
             (0.5, 1.7, DEFAULT_ETA), (2.0, 0.3, DEFAULT_ETA), (1.0, -1.4, DEFAULT_ETA),
             (0.5, 1.7, 0.0), (0.30000000000000004, 0.3, 0.0),
             (1.0, -1.0 - 1e-13, 0.0), (1.0, 1.0 + 1e-9, 0.0),
+            *[(k, w, eta) for k, w in [(0.0, 0.0), (1e-13, 0.0), (0.0, 1e-13)]
+              for eta in (DEFAULT_ETA, 0.0)],
         ]:
             point = real_point(k, w)
-            try:
-                free = g0(k, w, eta)
-            except PoleError:
-                with pytest.raises(PoleError):
-                    g_phiphi(VACUUM, FieldKind.SCALAR, point, eta)
-                continue
-            dressed = g_phiphi(VACUUM, FieldKind.SCALAR, point, eta)
-            assert dressed == pytest.approx(free, rel=1e-14)
+            free = outcome(lambda: g0(k, w, eta))
+            dressed = outcome(lambda: g_phiphi(VACUUM, FieldKind.SCALAR, point, eta))
+            if isinstance(free, type):
+                assert dressed is free, (k, w, eta)
+            else:
+                assert dressed == pytest.approx(free, rel=1e-14), (k, w, eta)
 
     def test_absorptive_medium_moves_pole_off_axis(self):
         # on the vacuum light cone the dressed propagator stays finite
@@ -269,6 +290,10 @@ class TestPointValidation:
     def test_momentum_must_be_nonnegative(self):
         with pytest.raises(DomainError):
             real_point(-0.5, 1.0)
+
+    def test_frequency_must_be_finite(self):
+        with pytest.raises(DomainError, match="frequency must be finite"):
+            MomentumFrequencyPoint(1.0, math.nan, Axis.REAL)
 
 
 @given(

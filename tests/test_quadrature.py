@@ -471,6 +471,14 @@ class TestIntegrate1D:
         assert not res.converged
         assert res.value == pytest.approx(math.pi / 4.0, rel=0.1)
 
+    def test_domain_validation(self, default_spec):
+        with pytest.raises(DomainError, match="lower integration limit"):
+            integrate_1d(math.exp, (-math.inf, 0.0), default_spec)
+        with pytest.raises(DomainError, match="scale"):
+            integrate_1d(math.exp, (0.0, 1.0), default_spec, scale=0.0)
+        with pytest.raises(DomainError, match="reversed"):
+            integrate_1d(math.exp, (1.0, 0.0), default_spec)
+
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=-1.0)
