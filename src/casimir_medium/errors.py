@@ -60,7 +60,7 @@ class InvalidRegimeError(CasimirMediumError):
         )
 
 
-class DegenerateModeError(CasimirMediumError):
+class DegenerateModeError(DomainError):
     """A mode with zero energy was requested (zero momentum and frequency)."""
 
 

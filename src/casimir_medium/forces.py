@@ -265,6 +265,9 @@ def mode_logdet(energy: float, separation: float) -> float:
             f"separation must be > 0, got {separation!r} "
             "(the determinant diverges at contact)"
         )
+    if 2.0 * energy * separation == 0.0:  # ln(1 - exp(-0)) = -inf
+        raise DomainError("2 E H underflows to 0 at energy "
+                          f"{energy!r}, separation {separation!r}")
     return float(_log1mexp(2.0 * energy * separation))
 
 

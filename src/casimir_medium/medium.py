@@ -17,8 +17,9 @@ implemented here on the tanh-sinh rule as an independent cross-check of
 every closed form; nothing else here integrates numerically (the tabulated
 model's chi_bar and real-axis response are exact integrals).
 
-A lossless sharp line is Lorentz with gamma = 0.  The medium-file schema is
-read off the model classes' fields.
+A lossless sharp line is Lorentz with gamma = 0, and a free-carrier (Drude)
+response is Lorentz with omega_0 = 0.  The medium-file schema is read off the
+signature of the callable that builds each file type.
 
 All quantities are in natural units (hbar = c = 1); frequencies carry an
 arbitrary common unit and susceptibilities are dimensionless.
@@ -27,9 +28,10 @@ arbitrary common unit and susceptibilities are dimensionless.
 from __future__ import annotations
 
 import enum
+import inspect
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -169,6 +171,10 @@ class Lorentz(SusceptibilityModel):
     On the imaginary axis chi_bar(xi) = omega_p^2/(omega_0^2 + xi^2 + gamma xi).
     gamma = 0 is the lossless sharp line (file type ``sharp_resonance``):
     delta-function absorption at omega_0, and a real-axis pole there.
+    omega_0 = 0 is the free-carrier (Drude) response, with no restoring
+    force; it needs gamma > 0.  Its chi_bar, its real-axis response and its
+    Im chi(w)/w diverge at zero frequency, so nothing may evaluate it there
+    (a DomainError); the adaptive integrators only touch interior nodes.
     """
 
     omega_p: float
@@ -178,13 +184,20 @@ class Lorentz(SusceptibilityModel):
     def __post_init__(self):
         if not (self.omega_p > 0.0 and math.isfinite(self.omega_p)):
             raise DomainError(f"omega_p must be > 0, got {self.omega_p!r}")
-        if not (self.omega_0 > 0.0 and math.isfinite(self.omega_0)):
-            raise DomainError(f"omega_0 must be > 0, got {self.omega_0!r}")
+        if not (self.omega_0 >= 0.0 and math.isfinite(self.omega_0)):
+            raise DomainError(f"omega_0 must be >= 0, got {self.omega_0!r}")
         if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
             raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
+        if self.omega_0 == 0.0 and self.gamma == 0.0:
+            raise DomainError("gamma must be > 0 for a free carrier (omega_0 = 0)")
 
     def chi_bar(self, xi):
         _check_xi(xi)
+        if self.omega_0 == 0.0 and ((xi == 0.0) if type(xi) is float
+                                    else np.any(xi == 0.0)):
+            raise DomainError(
+                "free-carrier response diverges at zero imaginary frequency"
+            )
         wp2 = self.omega_p * self.omega_p
         return wp2 / (self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi)
 
@@ -197,11 +210,15 @@ class Lorentz(SusceptibilityModel):
                     "Im chi is not a number exactly on resonance"
                 )
             return _no_absorption(omega)
-        wp2 = self.omega_p * self.omega_p
+        wp2, g = self.omega_p * self.omega_p, self.gamma
+        if self.omega_0 == 0.0:  # d*d = w^4 underflows where w^3 + g^2 w does not
+            return wp2 * g / (omega * (omega * omega + g * g))
         d = self.omega_0 * self.omega_0 - omega * omega
-        return wp2 * self.gamma * omega / (d * d + self.gamma**2 * omega * omega)
+        return wp2 * g * omega / (d * d + g * g * omega * omega)
 
     def chi_real_axis(self, omega: float) -> complex:
+        if omega == 0.0 and self.omega_0 == 0.0:
+            raise DomainError("free-carrier response diverges at zero frequency")
         wp2 = self.omega_p * self.omega_p
         d = self.omega_0 * self.omega_0 - omega * omega
         if self.gamma > 0.0:
@@ -218,53 +235,15 @@ class Lorentz(SusceptibilityModel):
         w0, g = self.omega_0, self.gamma
         return tuple(w for w in (w0 - g, w0, w0 + g) if w > 0.0)
 
-
-@dataclass(frozen=True)
-class Drude(SusceptibilityModel):
-    """Free-carrier response: chi(w) = -omega_p^2 / (w^2 + i gamma w).
-
-    chi_bar(xi) = omega_p^2/(xi^2 + gamma xi) diverges at xi = 0, so nothing
-    may evaluate this model exactly at zero imaginary frequency; the adaptive
-    integrators only touch interior nodes and stay clear of it.
-    """
-
-    omega_p: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.omega_p > 0.0 and math.isfinite(self.omega_p)):
-            raise DomainError(f"omega_p must be > 0, got {self.omega_p!r}")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be > 0, got {self.gamma!r}")
-
-    def chi_bar(self, xi):
-        _check_xi(xi)
-        if (xi == 0.0) if type(xi) is float else np.any(xi == 0.0):
-            raise DomainError(
-                "free-carrier response diverges at zero imaginary frequency"
-            )
-        return self.omega_p * self.omega_p / (xi * xi + self.gamma * xi)
-
-    def im_chi(self, omega):
-        _check_omega(omega)
-        wp2 = self.omega_p * self.omega_p
-        return wp2 * self.gamma / (omega * (omega * omega + self.gamma**2))
-
-    def chi_real_axis(self, omega: float) -> complex:
-        if omega == 0.0:
-            raise DomainError("free-carrier response diverges at zero frequency")
-        wp2 = self.omega_p * self.omega_p
-        return -wp2 / complex(omega * omega, self.gamma * omega)
-
-    @property
-    def has_absorption(self) -> bool:
-        return True
-
-    def _dispersion_breakpoints(self) -> tuple[float, ...]:
-        return (self.gamma,)
-
     def _im_chi_zero_limit(self) -> float:
-        raise DomainError("free-carrier absorption diverges as omega -> 0")
+        if self.omega_0 == 0.0:
+            raise DomainError("free-carrier absorption diverges as omega -> 0")
+        return 0.0
+
+
+def Drude(omega_p: float, gamma: float) -> Lorentz:
+    """Free carriers, chi(w) = -omega_p^2/(w^2 + i gamma w): Lorentz at omega_0 = 0."""
+    return Lorentz(omega_p, 0.0, gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,7 +422,7 @@ def kk_imaginary_axis(
 
     Only models with genuine absorption qualify (delta lines and lossless
     constants have no integrable Im chi); at xi = 0, where the integrand is
-    Im chi(w)/w, Drude absorption does not vanish fast enough either.
+    Im chi(w)/w, free-carrier absorption does not vanish fast enough either.
     """
     _check_xi(xi)
     if not model.has_absorption:
@@ -471,14 +450,18 @@ def kk_imaginary_axis(
     return 2.0 / math.pi * res.value
 
 
-# medium-file type -> model class, and the parameters the type fixes; each
-# other init field of the class is a parameter, optional if it has a default
+def _sharp_line(omega_p: float, omega_0: float) -> Lorentz:
+    return Lorentz(omega_p, omega_0, 0.0)
+
+
+# medium-file type -> the callable that builds it; its parameters are the
+# type's fields, optional where they have a default
 _MODEL_TYPES = {
-    "constant": (Constant, {}),
-    "lorentz": (Lorentz, {}),
-    "drude": (Drude, {}),
-    "sharp_resonance": (Lorentz, {"gamma": 0.0}),
-    "tabulated": (TabulatedCoupling, {}),
+    "constant": Constant,
+    "lorentz": Lorentz,
+    "drude": Drude,
+    "sharp_resonance": _sharp_line,
+    "tabulated": TabulatedCoupling,
 }
 
 
@@ -492,22 +475,22 @@ def _model_from_dict(cfg: object, path: str) -> SusceptibilityModel:
         raise MediumFileError(
             f"{path}.type: unknown model {kind!r} (one of {sorted(_MODEL_TYPES)})"
         )
-    cls, fixed = _MODEL_TYPES[kind]
-    params = [f for f in fields(cls) if f.init and f.name not in fixed]
-    extra = set(cfg) - {f.name for f in params} - {"type"}
+    build = _MODEL_TYPES[kind]
+    params = inspect.signature(build).parameters.values()
+    extra = set(cfg) - {p.name for p in params} - {"type"}
     if extra:
         raise MediumFileError(
             f"{path}.{sorted(extra)[0]}: unexpected field for model {kind!r}"
         )
-    kwargs = dict(fixed)
+    kwargs = {}
     for param in params:
         name = param.name
         if name not in cfg:
-            if param.default is not MISSING:
+            if param.default is not param.empty:
                 continue
             raise MediumFileError(f"{path}.{name}: missing required field")
         value = cfg[name]
-        if param.type.startswith("tuple"):  # a string: annotations are postponed
+        if param.annotation.startswith("tuple"):  # postponed: a string
             if not isinstance(value, list) or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
             ):
@@ -518,7 +501,7 @@ def _model_from_dict(cfg: object, path: str) -> SusceptibilityModel:
                 raise MediumFileError(f"{path}.{name}: must be a number")
             kwargs[name] = float(value)
     try:
-        return cls(**kwargs)
+        return build(**kwargs)
     except DomainError as err:
         raise MediumFileError(f"{path}: {err}") from err
 

@@ -115,14 +115,20 @@ def _retarded(stiffness, inertia, frequency: float, eta: float, sign=None) -> co
     if not math.isfinite(frequency):
         raise DomainError(f"frequency must be finite, got {frequency!r}")
     if stiffness == 0.0 and inertia == 0.0:
-        raise DomainError("propagator undefined at k = omega = 0 (both terms vanish)")
+        raise DegenerateModeError("propagator undefined at k = omega = 0 "
+                                  "(both terms vanish)")
     d = stiffness - inertia
     if eta == 0.0:
-        if abs(d) <= 1e-12 * max(abs(stiffness), abs(inertia)):
+        # an infinite term is no pole: 1/d rounds to 0 as it does at eta > 0
+        if abs(d) <= 1e-12 * max(abs(stiffness), abs(inertia)) < math.inf:
             raise PoleError(f"on the pole at frequency {frequency!r} with eta = 0")
-        return complex(1.0 / d)
-    sign = (frequency > 0.0) - (frequency < 0.0) if sign is None else sign
-    return 1.0 / (d - complex(0.0, eta * sign))
+        value = complex(1.0 / (d.real if d.imag == 0.0 else d))  # no -0 imag
+    else:
+        sign = (frequency > 0.0) - (frequency < 0.0) if sign is None else sign
+        value = 1.0 / (d - complex(0.0, eta * sign))
+    if value != value:  # overflowing terms
+        raise DomainError(f"propagator is NaN at frequency {frequency!r}")
+    return value
 
 
 def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
@@ -179,10 +185,10 @@ def g_phiphi(
 
     Euclidean axis: 1/(k^2 (1 - chi_m) + xi^2 (1 + chi_e)), real and
     positive.  Real axis: 1/(k^2 (1 - chi_m) - omega^2 (1 + chi_e)) with the
-    same retarded shift, pole rule and origin rule as ``g0`` (k = omega = 0
-    raises DomainError), so the geometric resummation identity holds
-    exactly at finite eta.  Scalar calculations take chi_m = 0.  Returns
-    the complex value (real on the Euclidean axis).
+    same retarded shift and pole rule as ``g0``, so the geometric
+    resummation identity holds exactly at finite eta.  On both axes k = 0
+    at zero frequency is a DegenerateModeError.  Scalar calculations take
+    chi_m = 0.  Returns the complex value (real on the Euclidean axis).
     """
     k = point.k
     if point.axis is Axis.EUCLIDEAN:

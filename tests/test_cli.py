@@ -444,6 +444,44 @@ class TestPropagatorCommand:
         _, rows = parse_csv(out)
         assert [r["status"] for r in rows] == ["error", "error"]
 
+    def test_nan_denominator_is_an_error_row(self, capsys):
+        # k^2 and omega^2 both overflow; the row must not read nan,nan,ok
+        rc = main(["propagator", "--point", "1e200,1e200", "--kinds", "G0,Gphiphi"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["error", "error"]
+
+    def test_large_damping_is_no_traceback(self, tmp_path, capsys):
+        # gamma^2 overflows a float power; both commands still answer
+        path = tmp_path / "damped.json"
+        path.write_text(json.dumps({
+            "electric": {"type": "drude", "omega_p": 1, "gamma": 1e300},
+        }))
+        rc = main(["force", "--medium", str(path), "--bc", "polarization"])
+        assert rc == 2
+        assert "regime" in capsys.readouterr().err
+        rc = main(["propagator", "--medium", str(path), "--point", "1,0.5",
+                   "--kinds", "Gphiphi,GPP", "--field", "scalar"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+
+    def test_small_frequency_free_carrier_row(self, tmp_path, capsys):
+        # Im chi = 2e170 there: w^4 underflows, the Drude form does not
+        path = tmp_path / "drude.json"
+        path.write_text(json.dumps({
+            "electric": {"type": "drude", "omega_p": 1, "gamma": 0.5},
+        }))
+        rc = main(["propagator", "--medium", str(path), "--point", "1,1e-170",
+                   "--kinds", "GPP"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["ok"]
+        assert float(rows[0]["re"]) == pytest.approx(2e170, rel=1e-15)
+
     def test_error_row_for_static_drude(self, tmp_path, capsys):
         path = tmp_path / "drude.json"
         path.write_text(json.dumps({

@@ -1,0 +1,22 @@
+"""Every demo script runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((ROOT / "demos").glob("0*.py")), ids=lambda path: path.name
+)
+def test_demo_runs(demo):
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

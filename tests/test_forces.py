@@ -501,6 +501,9 @@ class TestModeLogdet:
             mode_logdet(0.0, 1.0)
         with pytest.raises(DomainError):
             mode_logdet(1.0, 0.0)
+        # 2EH underflows to 0, where ln(1 - exp(-2EH)) would be -inf
+        with pytest.raises(DomainError, match="energy .*separation"):
+            mode_logdet(1e-300, 1e-300)
 
     @given(
         st.floats(min_value=1e-3, max_value=20.0),

@@ -46,6 +46,13 @@ def lorentz_tabulated(omega_p=1.0, omega_0=1.0, gamma=0.5, n=1601, w_max=60.0):
     return TabulatedCoupling(omega_grid=tuple(grid), g_values=tuple(g))
 
 
+def model_id(model):
+    """Test id: the model's class name, and Drude for the omega_0 = 0 Lorentz line."""
+    if isinstance(model, Lorentz) and model.omega_0 == 0.0:
+        return "Drude"
+    return type(model).__name__
+
+
 HAT_MODEL = TabulatedCoupling(omega_grid=(0.5, 1.0, 2.0), g_values=(0.0, 1.0, 0.0))
 
 
@@ -113,9 +120,37 @@ class TestLorentz:
             Lorentz(omega_p=1.0, omega_0=-1.0, gamma=0.1)
         with pytest.raises(DomainError):
             Lorentz(omega_p=1.0, omega_0=1.0, gamma=-0.5)
+        # no restoring force and no damping: the plasma limit is refused
+        with pytest.raises(DomainError, match="gamma"):
+            Lorentz(omega_p=1.0, omega_0=0.0, gamma=0.0)
+
+    def test_large_damping_is_no_overflow(self):
+        # gamma^2 = inf: the absorption rounds to 0 instead of raising
+        assert Lorentz(1.0, 1.0, 1e300).im_chi(1.0) == 0.0
+        assert Drude(1.0, 1e300).im_chi(1.0) == 0.0
 
 
 class TestDrude:
+    def test_is_the_zero_frequency_lorentz_line(self):
+        assert Drude(omega_p=1.0, gamma=0.5) == Lorentz(1.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("wp, gamma", [(1.0, 0.5), (1.3, 0.7), (1e3, 1e-3)])
+    def test_lorentz_line_keeps_the_free_carrier_formulas(self, wp, gamma):
+        # bit for bit: 0 + xi^2 is exact in chi_bar, and Im chi keeps the
+        # Drude form, whose w^3 + g^2 w stays normal where w^4 underflows
+        model = Lorentz(wp, 0.0, gamma)
+        xi = np.geomspace(1e-6, 1e6, 241)
+        assert np.array_equal(model.chi_bar(xi), wp * wp / (xi * xi + gamma * xi))
+        assert all(model.chi_bar(x) == wp * wp / (x * x + gamma * x)
+                   for x in xi.tolist())
+        # down to 1e-300, or to where Im chi ~ wp^2/(gamma w) would overflow
+        low = 1e-300 * max(1.0, wp * wp / gamma)
+        omega = np.concatenate([np.geomspace(low, 1e-6, 50), xi])
+        drude_im = wp * wp * gamma / (omega * (omega * omega + gamma * gamma))
+        assert np.array_equal(model.im_chi(omega), drude_im)
+        assert all(model.im_chi(w) == d
+                   for w, d in zip(omega.tolist(), drude_im.tolist()))
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError, match="omega_p"):
             Drude(omega_p=0.0, gamma=1.0)
@@ -301,19 +336,19 @@ class TestArrayEvaluation:
     ]
     XI = np.array([1e-9, 0.3, 1.0, 2.5, 40.0])
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", MODELS, ids=model_id)
     def test_chi_bar_elementwise(self, model):
         values = model.chi_bar(self.XI)
         assert isinstance(values, np.ndarray) and values.shape == self.XI.shape
         expected = [model.chi_bar(float(xi)) for xi in self.XI]
         assert values.tolist() == pytest.approx(expected, rel=1e-15)
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", MODELS, ids=model_id)
     def test_scalar_in_float_out(self, model):
         assert type(model.chi_bar(0.5)) is float
         assert type(Medium(electric=model).refractive_index(FieldKind.EM, 0.5)) is float
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", MODELS, ids=model_id)
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_domain_checked_elementwise(self, model, bad):
         with pytest.raises(DomainError):
@@ -339,7 +374,7 @@ class TestArrayEvaluation:
     # off every line, on and off the tabulated grid (nodes 0.5, 1, 2)
     OMEGA = np.array([1e-9, 0.3, 0.5, 0.75, 1.0, 1.5, 2.5, 40.0])
 
-    @pytest.mark.parametrize("model", IM_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", IM_MODELS, ids=model_id)
     def test_im_chi_elementwise(self, model):
         values = model.im_chi(self.OMEGA)
         assert isinstance(values, np.ndarray) and values.shape == self.OMEGA.shape
@@ -352,7 +387,7 @@ class TestArrayEvaluation:
         expected = [0.5 * math.pi * g / w for w, g in zip(nodes, HAT_MODEL.g_values)]
         assert HAT_MODEL.im_chi(nodes).tolist() == expected
 
-    @pytest.mark.parametrize("model", IM_MODELS, ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize("model", IM_MODELS, ids=model_id)
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_im_chi_domain_checked_elementwise(self, model, bad):
         with pytest.raises(DomainError, match="real-axis frequency"):
@@ -362,7 +397,7 @@ class TestArrayEvaluation:
         pytest.param(sharp_resonance(omega_p=1.0, omega_0=2.0),
                      id="SharpResonance"),
         Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.0),
-    ], ids=lambda m: type(m).__name__)
+    ], ids=model_id)
     def test_line_inside_array_refused(self, model):
         assert model.im_chi(np.array([1.0, 3.0])).tolist() == [0.0, 0.0]
         with pytest.raises(UnsupportedDistributionError):
@@ -511,6 +546,18 @@ class TestLoader:
     def test_sharp_resonance_is_lossless_lorentz(self):
         line = {"type": "sharp_resonance", "omega_p": 1.3, "omega_0": 0.7}
         assert medium_from_dict({"electric": line}).electric == Lorentz(1.3, 0.7, 0.0)
+
+    def test_drude_file_builds_the_free_carrier_line(self):
+        drude = {"type": "drude", "omega_p": 1.0, "gamma": 0.5}
+        assert medium_from_dict({"electric": drude}).electric == Lorentz(1.0, 0.0, 0.5)
+        with pytest.raises(MediumFileError, match="electric.omega_0: unexpected"):
+            medium_from_dict({"electric": {**drude, "omega_0": 1.0}})
+        with pytest.raises(MediumFileError, match="electric.gamma: missing"):
+            medium_from_dict({"electric": {"type": "drude", "omega_p": 1.0}})
+        # a lorentz file may reach the same line, but not undamped
+        line = {"type": "lorentz", "omega_p": 1.0, "omega_0": 0.0}
+        with pytest.raises(MediumFileError, match="electric: gamma"):
+            medium_from_dict({"electric": line})
 
     def test_readme_model_table_matches_loader(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

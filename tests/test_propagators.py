@@ -81,6 +81,17 @@ class TestFreePropagator:
         with pytest.raises(DomainError, match="frequency"):
             g0(1.0, omega)
 
+    def test_overflowing_terms_rejected(self):
+        # k^2 and omega^2 both overflow: inf - inf is no number
+        with pytest.raises(DomainError, match="NaN"):
+            g0(1e200, 1e200)
+
+    @pytest.mark.parametrize("eta", [DEFAULT_ETA, 0.0])
+    def test_one_infinite_term_is_no_pole(self, eta):
+        # 1/inf rounds to 0 at every shift
+        assert g0(1e200, 1.0, eta) == 0.0
+        assert g_omega(1.0, 1e200, eta) == 0.0
+
 
 class TestReservoirPropagator:
     def test_off_resonance(self):
@@ -136,6 +147,28 @@ class TestDressedPropagator:
     def test_euclidean_zero_mode_rejected(self):
         with pytest.raises(DegenerateModeError):
             g_phiphi(VACUUM, FieldKind.SCALAR, euclid_point(0.0, 0.0))
+
+    def test_real_axis_zero_mode_rejected(self):
+        # one origin rule on both axes
+        with pytest.raises(DegenerateModeError):
+            g_phiphi(VACUUM, FieldKind.SCALAR, real_point(0.0, 0.0))
+
+    def test_unshifted_value_has_no_negative_zero(self):
+        # a real denominator gives Im = +0, as in g0
+        value = g_phiphi(VACUUM, FieldKind.SCALAR, real_point(0.5, 1.7), 0.0)
+        assert math.copysign(1.0, value.imag) == 1.0
+        assert value == g0(0.5, 1.7, 0.0)
+
+    @pytest.mark.parametrize(
+        "model", [Lorentz(1e308, 1e-308, 0.1), Drude(1e200, 1e-200)]
+    )
+    def test_overflowing_susceptibility_rejected(self, model):
+        # chi overflows, so the denominator and every correlator are NaN
+        point = real_point(1.0, 0.5)
+        with pytest.raises(DomainError, match="NaN"):
+            g_phiphi(Medium(electric=model), FieldKind.SCALAR, point)
+        with pytest.raises(DomainError, match="NaN"):
+            cross_correlators(Medium(electric=model), point)
 
     def test_real_axis_vacuum(self):
         value = g_phiphi(VACUUM, FieldKind.SCALAR, real_point(1.0, 2.0))
