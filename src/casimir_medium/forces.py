@@ -137,7 +137,8 @@ def _force_result(h: float, kind: FieldKind, prefactor: float, res) -> ForceResu
         error_estimate=prefactor * res.error_estimate,
         evaluations=res.evaluations,
         vacuum_ratio=force / vacuum_force_analytic(kind, h),
-        converged=res.converged,
+        # both integrands are > 0, so a zero sum is underflow, not a value
+        converged=res.converged and res.value > 0.0,
     )
 
 

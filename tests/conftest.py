@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import pytest
 
@@ -35,3 +37,38 @@ def mp_inner_mode_integral(a: float, h: float) -> float:
             + 2 * mp.polylog(3, y)
         ) / (2 * mp.mpf(h)) ** 3
         return float(val)
+
+
+def polarization_far_drude(wp: float, gamma: float, h: float) -> float:
+    """Far-separation polarization-BC ratio to the vacuum force, Drude medium.
+
+    180 gamma/(pi^4 wp^2 H) (1 + r2/H^2 + r3/H^3), derived in
+    ``checks.check_limits``; the remainder is O(H^-4).
+    """
+    r2 = 7.5 * (1.0 / wp**2 - gamma**2 / wp**4)
+    r3 = -105.0 * gamma**2 / (8.0 * wp**4)
+    return 180.0 * gamma / (math.pi**4 * wp**2 * h) * (1.0 + r2 / h**2 + r3 / h**3)
+
+
+def polarization_far_lorentz(wp: float, w0: float, gamma: float, h: float):
+    """Far-separation polarization-BC ratio to the vacuum force, Lorentz medium.
+
+    R0 (1 + c/H + r/H^2) from M_k(chi) = (k+3)! chi^2 Li_k+4(chi^-2)/((k+1)
+    n^(k+1)), as derived in ``checks.check_limits`` but at a general chi0 =
+    (wp/w0)^2 where the check has chi0 = 1; the remainder is O(H^-3).
+    Returns the ratio and r.
+    """
+    chi0 = (wp / w0) ** 2
+    chi1, chi2 = -chi0 * gamma / w0**2, chi0 * (gamma**2 - w0**2) / w0**4
+    big_n = 1.0 + chi0  # n0^2
+    li = {s: float(mp.polylog(s, chi0**-2)) for s in (4, 5, 6)}
+    m0 = 6.0 * chi0**2 * li[4] / math.sqrt(big_n)
+    g5, dg5 = chi0**2 * li[5], 2.0 * chi0 * (li[5] - li[4])
+    dm1 = 12.0 * (dg5 / big_n - g5 / big_n**2)
+    f, df = chi0**2 * li[6], 2.0 * chi0 * (li[6] - li[5])
+    d2f = 2.0 * li[6] - 6.0 * li[5] + 4.0 * li[4]
+    dm2 = 40.0 * (df * big_n**-1.5 - 1.5 * f * big_n**-2.5)
+    d2m2 = 40.0 * (d2f * big_n**-1.5 - 3.0 * df * big_n**-2.5 + 3.75 * f * big_n**-3.5)
+    c = chi1 * dm1 / (2.0 * m0)
+    r = (chi2 * dm2 + 0.5 * chi1**2 * d2m2 + 60.0 * chi1 * li[5] / big_n) / (4.0 * m0)
+    return 15.0 * m0 / math.pi**4 * (1.0 + c / h + r / h**2), r

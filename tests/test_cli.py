@@ -114,6 +114,14 @@ class TestForceCommand:
             VACUUM_SCALAR / math.sqrt(2.0), rel=1e-5
         )
 
+    def test_underflowed_force_is_unconverged(self, constant_json, capsys):
+        # every J underflows to 0: the row is not a converged zero force
+        rc = main(["force", "--medium", constant_json(1e308)])
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert rc == 3
+        assert float(rows[0]["vacuum_ratio"]) == 0.0
+        assert rows[0]["converged"] == "false"
+
     def test_scale_multiplies_force_only(self, capsys):
         rc = main(["force", "--scale", "4.0"])
         out = capsys.readouterr().out
@@ -349,7 +357,7 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert rc == 0
         lines = out.strip().split("\n")
-        assert len(lines) == 7
+        assert len(lines) == 9
         for line in lines:
             assert line.startswith("PASS ")
             assert "measured" in line and "bound" in line

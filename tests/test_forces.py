@@ -37,6 +37,8 @@ from casimir_medium import (
     vacuum_force_analytic,
 )
 
+from .conftest import polarization_far_drude, polarization_far_lorentz
+
 LOR_01 = Medium(electric=Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.1))
 LOR_05 = Medium(electric=Lorentz(omega_p=1.0, omega_0=1.0, gamma=0.5))
 DRUDE = Medium(electric=Drude(omega_p=1.0, gamma=0.5))
@@ -227,6 +229,44 @@ class TestFarSeparationClosedForms:
         slope = -wp * wp * gamma / w0**4
         closed = (1.0 - 90.0 * self.ZETA_5 * slope / (math.pi**4 * n0**3 * h)) / n0
         assert abs(ratio / closed - 1.0) <= 1e-6 * (1e3 / h) ** 2 + 1e-9
+
+
+class TestFarSeparationPolarization:
+    """Far-separation closed forms of the polarization-BC ratio to the vacuum
+    force (``polarization_far_drude`` and ``polarization_far_lorentz``).
+
+    The route runs at rel_tol 1e-12.  The bounds allow the underived
+    remainders, 1e4/H^4 (Drude; Drude(1, 2) measures 1.8e3/H^4) and 10/H^3
+    (Lorentz; Lorentz(1, 1, 1) measures 7.1/H^3), so at H = 1e4 they are
+    below r3/H^3 and r/H^2 of every medium here.
+    """
+
+    SPEC = QuadratureSpec(rel_tol=1e-12)
+
+    def _ratio(self, model, h):
+        res = force_polarization_bc(ForceQuery(
+            medium=Medium(electric=model), bc=BoundaryCondition.POLARIZATION,
+            separation=h, spec=self.SPEC))
+        assert res.converged
+        return res.vacuum_ratio
+
+    @pytest.mark.parametrize("wp, gamma", [(1.0, 0.5), (2.0, 0.3), (1.0, 2.0)])
+    @pytest.mark.parametrize("h", [1e3, 1e4, 1e5])
+    def test_drude(self, wp, gamma, h):
+        closed = polarization_far_drude(wp, gamma, h)
+        deviation = abs(self._ratio(Drude(wp, gamma), h) / closed - 1.0)
+        assert deviation <= 1e4 / h**4 + self.SPEC.rel_tol
+
+    @pytest.mark.parametrize("wp, w0, gamma, r_value", [
+        (1.0, 1.0, 1.0, -1.249005), (2.0, 1.0, 1.0, 0.121638),
+        (1.5, 1.0, 0.5, 0.208017), (1.0, 1.0, 0.1, 0.446542),
+    ])
+    @pytest.mark.parametrize("h", [1e3, 1e4, 1e5])
+    def test_lorentz(self, wp, w0, gamma, r_value, h):
+        closed, r = polarization_far_lorentz(wp, w0, gamma, h)
+        assert r == pytest.approx(r_value, abs=1e-6)
+        deviation = abs(self._ratio(Lorentz(wp, w0, gamma), h) / closed - 1.0)
+        assert deviation <= 10.0 / h**3 + self.SPEC.rel_tol
 
 
 def _oracle_polarization_force(model, h):
@@ -479,6 +519,24 @@ class TestPolarizationBoundaryCondition:
                     separation=1.0,
                 )
             )
+
+
+class TestUnderflowedSum:
+    """Where n(p0) t > 745 at every exp-sinh node, every integrand value
+    underflows to 0 although the true force is not 0; a zero sum must not
+    count as converged on either route."""
+
+    @pytest.mark.parametrize("model, h", [
+        (Constant(1e68), 1.0), (Constant(1e100), 1.0), (Drude(1e20, 1.0), 1.0),
+        (Drude(1.0, 1e-40), 1e5), (Drude(1.0, 0.5), 1e75),
+    ], ids=["constant-1e68", "constant-1e100", "drude-1e20", "drude-gamma-1e-40",
+            "drude-h-1e75"])
+    @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+    def test_zero_sum_is_unconverged(self, model, h, bc):
+        route = force_field_bc if bc is BoundaryCondition.FIELD else force_polarization_bc
+        res = route(ForceQuery(medium=Medium(electric=model), bc=bc, separation=h))
+        assert res.vacuum_ratio == 0.0
+        assert not res.converged
 
 
 class TestModeLogdet:
