@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IntegrationFailureError, InvalidRegimeError
-from .medium import Constant, FieldKind, Medium, TabulatedCoupling, VACUUM
+from .medium import Constant, FieldKind, Medium, VACUUM
 from .quadrature import (
     QuadratureSpec,
     inner_mode_integral,
@@ -123,11 +123,6 @@ def vacuum_force_analytic(kind: FieldKind, separation: float) -> float:
     return 2.0 * base if kind is FieldKind.EM else base
 
 
-def _gap_frequency(medium: Medium, kind: FieldKind, p0):
-    # n(p0) * p0, the in-plane mass gap of the mode; p0 may be an array
-    return medium.refractive_index(kind, p0) * p0
-
-
 def _force_result(h: float, kind: FieldKind, prefactor: float, res) -> ForceResult:
     # the force is -prefactor times the integral ``res``
     force = -prefactor * res.value
@@ -158,19 +153,11 @@ def force_field_bc(query: ForceQuery) -> ForceResult:
     inv2h = 0.5 / h
 
     def integrand(t):
-        # dp0 = dt / 2H; the 1/2H goes into the prefactor
-        return inner_mode_integral(_gap_frequency(medium, kind, t * inv2h), h)
+        p0 = t * inv2h  # dp0 = dt / 2H; the 1/2H goes into the prefactor
+        return inner_mode_integral(medium.refractive_index(kind, p0) * p0, h)
 
     res = integrate_exp_sinh(integrand, query.spec.rel_tol)
     return _force_result(h, kind, query.multiplicity / (2.0 * _PI2) * inv2h, res)
-
-
-def _is_zero_model(model) -> bool:
-    if isinstance(model, Constant):
-        return model.chi0 == 0.0
-    if isinstance(model, TabulatedCoupling):
-        return not model.has_absorption
-    return False
 
 
 def force_polarization_bc(query: ForceQuery) -> ForceResult:
@@ -202,8 +189,8 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     contribute zero).  Where D loses positivity at any node the medium is
     outside this boundary condition's regime of validity and
     InvalidRegimeError names the first such node (modes with zero coupling
-    contribute nothing and are exempt).  A vanishing electric response
-    gives exactly zero force.
+    or an underflowed weight exp(-n t) add exactly 0 and are exempt).  A
+    vanishing electric response gives exactly zero force.
     """
     if query.bc is not BoundaryCondition.POLARIZATION:
         raise DomainError("this route computes the polarization boundary condition")
@@ -212,7 +199,8 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
             "polarization boundary conditions are implemented for the scalar field"
         )
     electric, h = query.medium.electric, query.separation
-    if _is_zero_model(electric):
+    # a lossless model that vanishes at one frequency vanishes at all
+    if not electric.has_absorption and electric.chi_bar(1.0) == 0.0:
         # literal +0.0: -prefactor * 0.0 would give a vacuum_ratio of -0
         return ForceResult(separation=h, force_per_area=0.0, error_estimate=0.0,
                            evaluations=0, vacuum_ratio=0.0, converged=True)
@@ -222,13 +210,14 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     def integrand(t, inner):
         # one inner integral per outer node t = 2 H p0, all in one rule call
         p0 = t * inv2h
-        chi = electric.chi_bar(p0)
-        n = np.sqrt(1.0 + chi)  # Medium.refractive_index, from this chi
-        noise = electric.im_chi(p0)
-        live = chi != 0.0  # zero-coupling modes add nothing and are exempt
-        p0, chi, n, noise = p0[live], chi[live], n[live], noise[live]
+        chi, noise = electric.chi_bar(p0), electric.im_chi(p0)
         # one row per outer node: v = v0 + s with v0 = n t, s over [0, inf)
-        v0 = (n * t[live])[:, None]
+        v0 = np.sqrt(1.0 + chi) * t  # n as in Medium.refractive_index
+        weight = np.exp(-v0)
+        # zero-coupling modes and modes whose weight underflows add exactly 0
+        # and are exempt; so chi^2 is only formed where v0 <= 745
+        live = (chi != 0.0) & (weight > 0.0)
+        p0, chi, noise, v0 = p0[live], chi[live], noise[live], v0[live, None]
         chi2 = (chi * chi)[:, None]
         gap = ((chi - 1.0) * (chi + 1.0))[:, None]
         noise_per_v = (noise * inv2h)[:, None]
@@ -245,7 +234,7 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
             return chi2 * v * v * np.exp(-s) / den
 
         values = np.zeros(t.shape)
-        values[live] = inner(rows) * np.exp(-v0[:, 0])
+        values[live] = inner(rows) * weight[live]
         return values
 
     res = integrate_nested(integrand, query.spec.rel_tol)
@@ -297,7 +286,8 @@ def force_via_action_fd(query: ForceQuery, delta: float) -> float:
 
     def integrand(t, inner):
         # one r integral per outer node t, all in one rule call
-        nt = _gap_frequency(medium, kind, t * inv2h)[:, None] * (2.0 * h)
+        p0 = t * inv2h
+        nt = (medium.refractive_index(kind, p0) * p0)[:, None] * (2.0 * h)
 
         def rows(r):
             v = np.hypot(nt, r)

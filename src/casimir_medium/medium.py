@@ -99,10 +99,6 @@ def _check_omega(omega) -> None:
         raise DomainError(f"real-axis frequency must be > 0, got {omega!r}")
 
 
-def _no_absorption(omega):
-    return np.zeros(omega.shape) if isinstance(omega, np.ndarray) else 0.0
-
-
 class SusceptibilityModel:
     """Base class for the oscillator-continuum response models.
 
@@ -119,8 +115,9 @@ class SusceptibilityModel:
         raise NotImplementedError
 
     def im_chi(self, omega):
-        """Absorptive part of the response at real frequency omega > 0."""
-        raise NotImplementedError
+        """Absorptive part at real frequency omega > 0: zero for a lossless model."""
+        _check_omega(omega)
+        return 0.0 * omega
 
     def chi_real_axis(self, omega: float) -> complex:
         """Full complex retarded response at real frequency."""
@@ -152,13 +149,7 @@ class Constant(SusceptibilityModel):
 
     def chi_bar(self, xi):
         _check_xi(xi)
-        if type(xi) is not float and isinstance(xi, np.ndarray):
-            return np.full(xi.shape, float(self.chi0))
-        return self.chi0
-
-    def im_chi(self, omega):
-        _check_omega(omega)
-        return _no_absorption(omega)
+        return self.chi0 + 0.0 * xi
 
     def chi_real_axis(self, omega: float) -> complex:
         return complex(self.chi0)
@@ -209,23 +200,28 @@ class Lorentz(SusceptibilityModel):
                     "lossless resonance has a delta-function absorption line; "
                     "Im chi is not a number exactly on resonance"
                 )
-            return _no_absorption(omega)
-        wp2, g = self.omega_p * self.omega_p, self.gamma
-        if self.omega_0 == 0.0:  # d*d = w^4 underflows where w^3 + g^2 w does not
-            return wp2 * g / (omega * (omega * omega + g * g))
+            return 0.0 * omega
+        return self._response(omega).imag
+
+    def _response(self, omega):
+        # omega_p^2/(omega_0^2 - w^2 - i gamma w), gamma > 0: complex division
+        # scales its operands (R. L. Smith, CACM 5 (1962) 435) and squares neither
         d = self.omega_0 * self.omega_0 - omega * omega
-        return wp2 * g * omega / (d * d + g * g * omega * omega)
+        if not isinstance(omega, np.ndarray):
+            return self.omega_p * self.omega_p / complex(d, -self.gamma * omega)
+        den = np.asarray(d, dtype=complex)
+        den.imag = -self.gamma * omega
+        return self.omega_p * self.omega_p / den
 
     def chi_real_axis(self, omega: float) -> complex:
         if omega == 0.0 and self.omega_0 == 0.0:
             raise DomainError("free-carrier response diverges at zero frequency")
-        wp2 = self.omega_p * self.omega_p
-        d = self.omega_0 * self.omega_0 - omega * omega
         if self.gamma > 0.0:
-            return wp2 / complex(d, -self.gamma * omega)
+            return self._response(omega)
+        d = self.omega_0 * self.omega_0 - omega * omega
         if d == 0.0:  # lossless: real, Im = +0 as in the gamma -> 0+ limit
             raise PoleError(f"undamped resonance pole at omega = {omega!r}")
-        return complex(wp2 / d)
+        return complex(self.omega_p * self.omega_p / d)
 
     @property
     def has_absorption(self) -> bool:
@@ -295,19 +291,25 @@ class TabulatedCoupling(SusceptibilityModel):
 
     def chi_bar(self, xi):
         _check_xi(xi)
-        u1, u2 = self._nodes[:-1], self._nodes[1:]
-        m = self._slopes
-        b = self._values[:-1] - m * u1
-        # one row of segments per frequency
+        u1, u2, m = self._nodes[:-1], self._nodes[1:], self._slopes
+        # one row of segments per frequency; lengths enter as ratios to
+        # s = max(u1, xi), so no square or product of two lengths is formed
         x = np.asarray(xi, dtype=float)[..., None]
-        xi2 = x * x
-        log_part = 0.5 * m * np.log((u2 * u2 + xi2) / (u1 * u1 + xi2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # atan(u2/xi) - atan(u1/xi) rewritten to stay stable for small xi
-            atan_part = b * np.arctan(x * (u2 - u1) / (xi2 + u1 * u2)) / x
-        if np.any(x == 0.0):
-            atan_part = np.where(x == 0.0, b * (1.0 / u1 - 1.0 / u2), atan_part)
-        total = np.sum(log_part + atan_part, axis=-1)
+        s = np.maximum(u1, x)
+        a, c = u1 / s, x / s
+        with np.errstate(over="ignore", divide="ignore"):
+            sf = s * (s / (u2 - u1) * (a * a + c * c))  # (u1^2 + xi^2)/(u2 - u1)
+            q = (u1 + u2) / sf  # (u2^2 + xi^2)/(u1^2 + xi^2) - 1
+        log_ratio = np.log1p(q)  # precise also where q << 1, at xi >> u
+        if np.isinf(q).any():  # a ratio past the double range: a log difference
+            far = np.diff(2.0 * np.log(np.hypot(self._nodes, x)), axis=-1)
+            log_ratio = np.where(np.isinf(q), far, log_ratio)
+        # atan(u2/xi) - atan(u1/xi) = atan(z), z = xi w, so the arctan term
+        # b atan(z)/xi is b (atan(z)/z) w; atan(z)/z rounds to 1 below 1e-8
+        w = 1.0 / (sf + u1)  # (u2 - u1)/(xi^2 + u1 u2)
+        z = np.maximum(x * w, 1e-8)
+        b = self._values[:-1] - m * u1  # g = m u + b on the segment
+        total = log_ratio @ (0.5 * m) + (np.arctan(z) / z * w) @ b
         return total if isinstance(xi, np.ndarray) else float(total)
 
     def im_chi(self, omega):

@@ -556,6 +556,42 @@ class TestPropagatorCommand:
         assert len(lines) == 1 and flag in lines[0]
 
 
+WIDE_GRID = {"type": "tabulated", "omega_grid": [1e-300, 0.5, 1, 2, 1e300],
+             "g_values": [0, 0.3, 1, 0.2, 0]}
+EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200,0",
+                  "0,1e-200", "1,1")
+
+
+@pytest.mark.parametrize("electric, argv, code", [
+    ({"type": "lorentz", "omega_p": 1, "omega_0": 1e-100, "gamma": 1e-100},
+     ["propagator", "--point", "1,1e-100", "--kinds", "GPP", "--field", "scalar"], 0),
+    (WIDE_GRID, ["force", "--hmin", "0.5", "--hmax", "5", "--points", "3"], 0),
+    # k = xi = 0 and the modes whose k^2 + n^2 xi^2 underflows are error rows
+    (WIDE_GRID, ["propagator", "--axis", "euclidean", "--field", "scalar",
+                 *(arg for point in EXTREME_POINTS for arg in ("--point", point))], 3),
+    ({"type": "constant", "chi0": 1e308}, ["force"], 3),
+    ({"type": "constant", "chi0": 1e308}, ["force", "--bc", "polarization"], 3),
+    ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 0.1},
+     ["force", "--bc", "polarization"], 3),
+], ids=["lorentz-tiny-line-propagator", "wide-grid-force", "wide-grid-euclidean",
+        "constant-1e308-force", "constant-1e308-polarization",
+        "lorentz-wp-1e200-polarization"])
+def test_extreme_inputs(tmp_path, capsys, electric, argv, code):
+    # the documented exit code and never a traceback (here a RuntimeWarning
+    # is an error too), one stderr line on a refusal, no nan in an ok row
+    path = tmp_path / "medium.json"
+    path.write_text(json.dumps({"electric": electric}))
+    rc = main([*argv, "--medium", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == code, err
+    assert "Traceback" not in err
+    if code in (1, 2):
+        assert len(err.strip().splitlines()) == 1
+    for row in out.splitlines()[1:]:
+        fields = row.split(",")
+        assert "nan" not in fields or fields[-1] == "error", row
+
+
 def _run_entry_point(value, *args):
     """Run a console-script entry point in a fresh interpreter.
 
@@ -573,10 +609,14 @@ def _run_entry_point(value, *args):
 
 
 def _run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports the code under test."""
+    """Run ``code`` in a fresh interpreter that imports the code under test.
+
+    A numpy RuntimeWarning is an error there, as in this process.
+    """
     package_root = str(Path(casimir_medium.__file__).resolve().parents[1])
     paths = [package_root, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               PYTHONWARNINGS="error::RuntimeWarning")
     return subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env,

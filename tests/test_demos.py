@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 )
 def test_demo_runs(demo):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)),
+               PYTHONWARNINGS="error::RuntimeWarning")
     proc = subprocess.run(
         [sys.executable, str(demo)], capture_output=True, text=True, env=env
     )

@@ -410,8 +410,9 @@ class TestPolarizationBoundaryCondition:
             "sys.exit(5 if 'scipy.integrate' in sys.modules else 0)"
         )
         src = str(Path(casimir_medium.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=src))
+                              text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
     def test_no_coupling_means_no_force(self):
@@ -537,6 +538,29 @@ class TestUnderflowedSum:
         res = route(ForceQuery(medium=Medium(electric=model), bc=bc, separation=h))
         assert res.vacuum_ratio == 0.0
         assert not res.converged
+
+    @pytest.mark.parametrize("model", [
+        Constant(1e155), Constant(1e308), Lorentz(1e200, 1.0, 0.1),
+    ], ids=["constant-1e155", "constant-1e308", "lorentz-wp-1e200"])
+    def test_polarization_skips_rows_whose_weight_underflows(self, model):
+        # such rows add exactly 0 and chi^2 is never formed for them: past
+        # chi = 1.4e154 it overflows, and at omega_p = 1e200 chi itself is inf
+        # (Constant(1e68), whose chi^2 is finite, is a case of the test above)
+        res = force_polarization_bc(ForceQuery(
+            medium=Medium(electric=model), bc=BoundaryCondition.POLARIZATION,
+            separation=1.0))
+        assert res.force_per_area == 0.0
+        assert not res.converged
+
+    def test_skipped_rows_keep_the_force(self):
+        # Drude(2, 0.3) at H = 1e5: the force bit for bit as when every row
+        # was integrated (22,154 evaluations), now with fewer
+        res = force_polarization_bc(ForceQuery(
+            medium=Medium(electric=Drude(2.0, 0.3)),
+            bc=BoundaryCondition.POLARIZATION, separation=1e5))
+        assert res.converged
+        assert res.force_per_area == -2.8496582904630426e-28
+        assert res.evaluations < 22154
 
 
 class TestModeLogdet:

@@ -3,8 +3,10 @@
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,9 +127,11 @@ class TestLorentz:
             Lorentz(omega_p=1.0, omega_0=0.0, gamma=0.0)
 
     def test_large_damping_is_no_overflow(self):
-        # gamma^2 = inf: the absorption rounds to 0 instead of raising
-        assert Lorentz(1.0, 1.0, 1e300).im_chi(1.0) == 0.0
-        assert Drude(1.0, 1e300).im_chi(1.0) == 0.0
+        # gamma^2 = inf, yet Im chi ~ 1/gamma = 1e-300 is a double: nothing
+        # raises, and the value is kept
+        tiny = pytest.approx(1e-300, rel=1e-15, abs=0.0)
+        assert Lorentz(1.0, 1.0, 1e300).im_chi(1.0) == tiny
+        assert Drude(1.0, 1e300).im_chi(1.0) == tiny
 
 
 class TestDrude:
@@ -136,20 +140,24 @@ class TestDrude:
 
     @pytest.mark.parametrize("wp, gamma", [(1.0, 0.5), (1.3, 0.7), (1e3, 1e-3)])
     def test_lorentz_line_keeps_the_free_carrier_formulas(self, wp, gamma):
-        # bit for bit: 0 + xi^2 is exact in chi_bar, and Im chi keeps the
-        # Drude form, whose w^3 + g^2 w stays normal where w^4 underflows
+        # chi_bar bit for bit: 0 + xi^2 is exact
         model = Lorentz(wp, 0.0, gamma)
         xi = np.geomspace(1e-6, 1e6, 241)
         assert np.array_equal(model.chi_bar(xi), wp * wp / (xi * xi + gamma * xi))
         assert all(model.chi_bar(x) == wp * wp / (x * x + gamma * x)
                    for x in xi.tolist())
-        # down to 1e-300, or to where Im chi ~ wp^2/(gamma w) would overflow
+        # Im chi = wp^2 gamma/(w (w^2 + gamma^2)) to 1e-15, also where w^4
+        # underflows: down to 1e-300, or to where Im chi ~ wp^2/(gamma w)
+        # would overflow, and up to where w^2 nears the double range
         low = 1e-300 * max(1.0, wp * wp / gamma)
-        omega = np.concatenate([np.geomspace(low, 1e-6, 50), xi])
-        drude_im = wp * wp * gamma / (omega * (omega * omega + gamma * gamma))
-        assert np.array_equal(model.im_chi(omega), drude_im)
-        assert all(model.im_chi(w) == d
-                   for w, d in zip(omega.tolist(), drude_im.tolist()))
+        omega = np.geomspace(low, 1e150, 301)
+        with mp.workdps(50):
+            wp2, g = mp.mpf(wp) ** 2, mp.mpf(gamma)
+            exact = [float(wp2 * g / (w * (mp.mpf(w) ** 2 + g * g)))
+                     for w in omega.tolist()]
+        assert model.im_chi(omega).tolist() == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert [model.im_chi(w) for w in omega.tolist()] == pytest.approx(
+            exact, rel=1e-15, abs=0.0)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError, match="omega_p"):
@@ -310,6 +318,44 @@ class TestTabulatedCoupling:
         for a in (0.5, 2.0):
             with pytest.raises(PoleError, match="band edge"):
                 model.chi_real_axis(a)
+
+    # nodes past 1.3e154 used to overflow u^2; the Gaussian grid is the
+    # benchmark's, where ln((u2^2 + xi^2)/(u1^2 + xi^2)) rounded to 0 at large xi
+    WIDE = TabulatedCoupling(omega_grid=(1e-300, 0.5, 1.0, 2.0, 1e300),
+                             g_values=(0.0, 0.3, 1.0, 0.2, 0.0))
+    GAUSSIAN = TabulatedCoupling(
+        tuple(0.2 + 2.8 * k / 59 for k in range(60)),
+        tuple(math.exp(-((0.2 + 2.8 * k / 59 - 1.2) / 0.4) ** 2) for k in range(60)))
+    XI = (0.0, 1e-200, 1e-13, 1.0, 2.0, 10.0, 1e3, 1e5, 1e8, 1e10, 1e20, 1e200)
+
+    @staticmethod
+    def _mp_chi_bar(model, xi):
+        # g = m u + b per segment, in 50 digits: log1p keeps the log term
+        # where its ratio is near 1, and atan(u2/x) - atan(u1/x) is one
+        # arctan, atan(x z), with the limit z at x = 0
+        with mp.workdps(50):
+            x, total = mp.mpf(xi), mp.mpf(0)
+            w, g = model.omega_grid, model.g_values
+            for u1, u2, g1, g2 in zip(w, w[1:], g, g[1:]):
+                u1, u2, g1, g2 = map(mp.mpf, (u1, u2, g1, g2))
+                m = (g2 - g1) / (u2 - u1)
+                total += m / 2 * mp.log1p((u2 - u1) * (u2 + u1) / (u1 * u1 + x * x))
+                z = (u2 - u1) / (x * x + u1 * u2)
+                total += (g1 - m * u1) * (mp.atan(x * z) / x if x else z)
+            return total
+
+    @pytest.mark.parametrize("model", [WIDE, GAUSSIAN], ids=["wide", "gaussian"])
+    def test_chi_bar_across_the_double_range(self, model):
+        values = model.chi_bar(np.array(self.XI))
+        for xi, value in zip(self.XI, values.tolist()):
+            assert model.chi_bar(xi) == pytest.approx(value, rel=1e-15, abs=0.0)
+            exact = self._mp_chi_bar(model, xi)
+            if exact >= sys.float_info.min:  # a normal double
+                assert value == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+        # finite, and no RuntimeWarning, at every xi >= 0
+        xi = np.concatenate([[0.0], np.geomspace(5e-324, 1e308, 2001),
+                             [sys.float_info.max]])
+        assert np.isfinite(model.chi_bar(xi)).all()
 
     def test_small_xi_stability(self):
         # the arctan difference must not cancel at tiny xi
