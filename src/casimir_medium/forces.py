@@ -180,7 +180,8 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     D = alpha - exp(-2EH) written without cancellation (the literal
     difference rounds to zero for chi_bar(0) = 1 media at the rule's
     smallest t).  It runs on ``integrate_nested``: the p0-only factors once
-    per outer node, the v - n t integrals of a pass as one block of rows.
+    per outer node, the v - n t integrals of a pass as one block of rows,
+    the t integral in panels that end at the medium's sharp frequencies.
     ``converged`` means the error estimate is within ``rel_tol`` of the
     force at every separation.
 
@@ -210,14 +211,15 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     def integrand(t, inner):
         # one inner integral per outer node t = 2 H p0, all in one rule call
         p0 = t * inv2h
-        chi, noise = electric.chi_bar(p0), electric.im_chi(p0)
+        chi = electric.chi_bar(p0)
         # one row per outer node: v = v0 + s with v0 = n t, s over [0, inf)
         v0 = np.sqrt(1.0 + chi) * t  # n as in Medium.refractive_index
         weight = np.exp(-v0)
         # zero-coupling modes and modes whose weight underflows add exactly 0
-        # and are exempt; so chi^2 is only formed where v0 <= 745
+        # and are exempt; so chi^2 and Im chi are only formed where v0 <= 745
         live = (chi != 0.0) & (weight > 0.0)
-        p0, chi, noise, v0 = p0[live], chi[live], noise[live], v0[live, None]
+        p0, chi, v0 = p0[live], chi[live], v0[live, None]
+        noise = electric.im_chi(p0) if electric.has_absorption else 0.0 * p0
         chi2 = (chi * chi)[:, None]
         gap = ((chi - 1.0) * (chi + 1.0))[:, None]
         noise_per_v = (noise * inv2h)[:, None]
@@ -237,7 +239,11 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         values[live] = inner(rows) * weight[live]
         return values
 
-    res = integrate_nested(integrand, query.spec.rel_tol)
+    # Im chi has poles or kinks on or next to the axis at t = 2 H w: panel edges
+    # there, but for t > 50, where exp(-n t) < 2e-22
+    edges = np.unique(2.0 * h * np.array(electric._dispersion_breakpoints(), dtype=float))
+    cuts = edges[(edges > 0.0) & (edges <= 50.0)].tolist()
+    res = integrate_nested(integrand, query.spec.rel_tol, cuts)
     return _force_result(h, FieldKind.SCALAR, inv2h**4 / (2.0 * _PI2), res)
 
 

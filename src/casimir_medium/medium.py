@@ -43,7 +43,7 @@ from .errors import (
     PoleError,
     UnsupportedDistributionError,
 )
-from .quadrature import QuadratureSpec, integrate_tanh_sinh
+from .quadrature import QuadratureSpec, integrate_panels
 
 __all__ = [
     "SusceptibilityModel",
@@ -129,7 +129,7 @@ class SusceptibilityModel:
         return False
 
     def _dispersion_breakpoints(self) -> tuple[float, ...]:
-        # frequencies where real-axis integrands have structure
+        # frequencies where Im chi has poles or kinks on or next to the real axis
         return ()
 
     def _im_chi_zero_limit(self) -> float:
@@ -208,6 +208,8 @@ class Lorentz(SusceptibilityModel):
         # scales its operands (R. L. Smith, CACM 5 (1962) 435) and squares neither
         d = self.omega_0 * self.omega_0 - omega * omega
         if not isinstance(omega, np.ndarray):
+            if d == 0.0 == self.gamma * omega:  # all underflowed; the response overflows
+                raise DomainError(f"Lorentz response overflows at omega = {omega!r}")
             return self.omega_p * self.omega_p / complex(d, -self.gamma * omega)
         den = np.asarray(d, dtype=complex)
         den.imag = -self.gamma * omega
@@ -228,8 +230,8 @@ class Lorentz(SusceptibilityModel):
         return self.gamma > 0.0
 
     def _dispersion_breakpoints(self) -> tuple[float, ...]:
-        w0, g = self.omega_0, self.gamma
-        return tuple(w for w in (w0 - g, w0, w0 + g) if w > 0.0)
+        # a damped line narrower than its frequency has poles next to the axis
+        return (self.omega_0,) if 0.0 < self.gamma < self.omega_0 else ()
 
     def _im_chi_zero_limit(self) -> float:
         if self.omega_0 == 0.0:
@@ -413,14 +415,11 @@ def kk_imaginary_axis(
     """Imaginary-axis susceptibility from the absorptive real-axis data.
 
     Evaluates (2/pi) integral_0^inf w Im chi(w) / (w^2 + xi^2) dw in one
-    call of the tanh-sinh rule, one row per panel: the panels between 0,
-    the model's breakpoints and xi, and the algebraic tail [top, inf)
-    mapped by w = top/x.  The rule judges the rows' sum
-    against the spec's ``rel_tol`` (a panel beyond a tabulated grid, zero
-    but at nodes that round onto the grid's closed end, never converges on
-    its own) and raises IntegrationFailureError if it is not met.  For
-    every closed-form chi_bar this must agree with it; the two routes share
-    no code, which is the point.
+    ``integrate_panels`` call, with edges at 0, the model's breakpoints and
+    xi (at w = 1 if there is none of them) and infinity, against the spec's
+    ``rel_tol``; a miss raises IntegrationFailureError.  For every
+    closed-form chi_bar this must agree with it; the two routes share no
+    code, which is the point.
 
     Only models with genuine absorption qualify (delta lines and lossless
     constants have no integrable Im chi); at xi = 0, where the integrand is
@@ -434,16 +433,9 @@ def kk_imaginary_axis(
     if xi == 0.0:
         model._im_chi_zero_limit()  # raises where Im chi(w)/w is not integrable
     spec = spec or QuadratureSpec()
-    cuts = {*model._dispersion_breakpoints(), xi}
-    edges = np.array(sorted({0.0} | {w for w in cuts if w > 0.0}))
-    start, width, top = edges[:-1, None], np.diff(edges)[:, None], edges[-1]
-
-    def rows(x):
-        w = np.vstack((start + width * x, top / x))
-        dw_dx = np.vstack((np.broadcast_to(width, w[:-1].shape), w[-1] / x))
-        return np.sum(w * model.im_chi(w) / (w * w + xi * xi) * dw_dx, axis=0)
-
-    res = integrate_tanh_sinh(rows, spec.rel_tol)
+    cuts = {*model._dispersion_breakpoints(), xi} - {0.0}
+    res = integrate_panels(lambda w: w * model.im_chi(w) / (w * w + xi * xi),
+                           (0.0, *sorted(cuts or {1.0}), math.inf), spec.rel_tol)
     if not res.converged:
         raise IntegrationFailureError(
             f"dispersion integral at xi = {xi:g} did not converge",

@@ -12,9 +12,9 @@ Every integral the package computes runs on one nested double-exponential
 engine that evaluates its integrand on whole arrays of nodes, and many
 integrands at once as the rows of one array.  Its node tables are
 ``integrate_exp_sinh`` on the half-line (first pass 105 nodes; the field
-route) and ``integrate_tanh_sinh`` on (0, 1) (103; the dispersion
-transform).  ``integrate_nested`` runs exp-sinh at both levels of the
-polarization and action routes and alone splits their tolerance.
+route) and ``integrate_tanh_sinh`` on (0, 1) (103), which
+``integrate_panels`` runs on panels as rows.  ``integrate_nested`` runs
+the polarization and action routes and alone splits their tolerance.
 
 The exported oracles ``integrate_1d`` (QUADPACK via scipy, imported on first
 use; the ``test`` extra brings it) and ``integrate_2d_oracle``, built on it,
@@ -38,6 +38,7 @@ __all__ = [
     "inner_mode_integral",
     "integrate_exp_sinh",
     "integrate_tanh_sinh",
+    "integrate_panels",
     "integrate_nested",
     "integrate_1d",
     "integrate_2d_oracle",
@@ -239,11 +240,11 @@ def _node_table(lo: float, hi: float, phi) -> tuple:
     x, w = phi(np.concatenate(us))
     # S_k, the trapezoid sum of step 2^-k, obeys S_k+1 = S_k / 2 + 2^-(k+1)
     # times the sum of w f over level k's nodes, so each level's weights
-    # carry its step; column j of the first-pass weights gives S_j+1
+    # carry its step; the first-pass weights give S_2, S_3 and S_4
     level_weights = [0.5 ** (k + 1) * w[bounds[k]:bounds[k + 1]] for k in range(_DE_LEVELS)]
-    first_sums = np.zeros((bounds[_DE_FIRST_LEVELS], _DE_FIRST_LEVELS))
-    for j in range(_DE_FIRST_LEVELS):
-        first_sums[:bounds[j + 1], j] = 0.5 ** (j + 1) * w[:bounds[j + 1]]
+    first_sums = np.zeros((bounds[_DE_FIRST_LEVELS], _DE_FIRST_LEVELS - 1))
+    for j in range(1, _DE_FIRST_LEVELS):
+        first_sums[:bounds[j + 1], j - 1] = 0.5 ** (j + 1) * w[:bounds[j + 1]]
     return x, bounds, level_weights, first_sums
 
 
@@ -300,28 +301,24 @@ def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
     The first pass evaluates levels 0-3 (steps 1/2 to 1/16) in one call of
     ``f``, where most of the package's integrals converge; each further
     pass adds one level.  Error estimate, per row and at every pass alike:
-    d_k = |S_k - S_k-1|, the change of the level sums, times the larger of
-    the last two reduction ratios d_k/d_k-1 and d_k-1/d_k-2 (capped at 1),
-    plus a round-off floor N eps sum |w f| over the N nodes used; its
-    evidence is tests/test_truth_sweep.py.  The last ratio alone misses
-    where the reduction slows, as in the polarization route's outer rule at
-    Lorentz(1, 1, 0.1), H = 10 (ratios 7e-3, 2e-5, 0.03: d_k^2/d_k-1 is
-    1.5e-14, the error 2.3e-11; the larger ratio gives 5e-12, still a miss
-    at rel_tol 1e-11).  It stops once every row's estimate is within
-    ``rel_tol`` of its value, or after the finest level, unconverged.
+    d_k = |S_k - S_k-1|, the change of the level sums, times the reduction
+    ratio d_k/d_k-1 (capped at 1), plus a round-off floor N eps sum |w f|
+    over the N nodes used; its evidence is tests/test_truth_sweep.py.  The
+    ratio presumes a steady reduction, as for integrands analytic in a strip
+    about the axis (structure next to it belongs at a panel edge).  It stops
+    once every row's estimate is within ``rel_tol`` of its value, or after
+    the finest level, unconverged.
     """
     nodes, bounds, level_weights, first_sums = table
     last = bounds[_DE_FIRST_LEVELS]
     values = f(nodes[:last])
-    s1, s2, s3, s = (values @ first_sums).T
+    s2, s3, s = (values @ first_sums).T
     magnitude = np.abs(values) @ first_sums[:, -1]
-    d_previous, d = abs(s3 - s2), abs(s - s3)
-    previous_ratio = _capped_ratio(d_previous, abs(s2 - s1))
-    ratio, level = _capped_ratio(d, d_previous), _DE_FIRST_LEVELS
+    d_previous, d, level = abs(s3 - s2), abs(s - s3), _DE_FIRST_LEVELS
     while True:
-        # magnitude holds 2^-level sum |w f|, so the last term is the
-        # round-off floor
-        error = d * np.maximum(ratio, previous_ratio) + last * _EPS * magnitude
+        # d times d/d_previous capped at 1 (the tiny term only keeps 0/0 out),
+        # plus the round-off floor: magnitude holds 2^-level sum |w f|
+        error = d * (d / (np.maximum(d, d_previous) + _TINY)) + last * _EPS * magnitude
         converged = error <= rel_tol * abs(s)
         done = converged.all()
         if done or level == _DE_LEVELS:
@@ -333,7 +330,6 @@ def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
         previous, s = s, 0.5 * s + values @ weights
         magnitude = 0.5 * magnitude + np.abs(values) @ weights
         d_previous, d = d, abs(s - previous)
-        previous_ratio, ratio = ratio, _capped_ratio(d, d_previous)
     # a converged row is finite, so only an unconverged result can hide one
     if not done and not np.isfinite(s).all():
         raise IntegrationFailureError("quadrature returned a non-finite value")
@@ -342,23 +338,39 @@ def _integrate_de(table: tuple, f, rel_tol: float) -> IntegralResult:
     return IntegralResult(float(s), float(error), last, bool(converged))
 
 
-def _capped_ratio(newer, older):
-    # newer/older capped at 1 (no reduction), elementwise; the tiny term
-    # only keeps 0/0 out, where the ratio multiplies a zero change anyway
-    return newer / (np.maximum(newer, older) + _TINY)
+def integrate_panels(f: Callable, edges: Sequence[float], rel_tol: float) -> IntegralResult:
+    """Integral of ``f`` from ``edges[0]`` to ``edges[-1]`` in one tanh-sinh call.
+
+    Each panel between consecutive edges is a row (an infinite last edge
+    makes it the algebraic tail x -> lo/x, lo > 0); ``f`` maps a (panels, K)
+    array of nodes to values.  The rule judges the rows' sum, so a row that
+    is zero but at a node or two (past a tabulated grid) need not converge.
+    """
+    lo, width = np.array(edges[:-1], dtype=float)[:, None], np.diff(edges)[:, None]
+
+    def rows(x):
+        w, dw_dx = lo + width * x, np.broadcast_to(width, (lo.size, x.size))
+        if math.isinf(edges[-1]):
+            w[-1] = lo[-1] / x
+            dw_dx = np.vstack((dw_dx[:-1], w[-1:] / x))
+        return np.sum(f(w) * dw_dx, axis=0)
+
+    return integrate_tanh_sinh(rows, rel_tol)
 
 
-def integrate_nested(outer: Callable, rel_tol: float) -> IntegralResult:
-    """Double integral over [0, inf)^2 on the exp-sinh rule at both levels.
+def integrate_nested(outer: Callable, rel_tol: float, cuts: Sequence = ()) -> IntegralResult:
+    """Double integral over [0, inf)^2, the inner one on the exp-sinh rule.
 
     ``outer(t, inner)`` gives one value per outer node t and integrates its
     inner rows by passing ``inner`` a row function as ``integrate_exp_sinh``
-    takes it, which returns the row values.  The rows get a tenth of
-    ``rel_tol``, the outer rule the rest.  The error estimate is the outer
-    one plus the largest relative row error times |value| (a bound for rows
-    of one sign; an exactly-zero row adds nothing); ``converged`` needs the
-    outer rule and every row; ``evaluations`` counts the outer nodes plus
-    the inner nodes of every row.
+    takes it, which returns the row values; it gets at most 512 nodes a
+    call.  The outer panels up to the last of the ascending ``cuts`` (> 0)
+    are one ``integrate_panels`` call, made first; exp-sinh takes the rest.
+    The rows get a tenth of ``rel_tol``, the outer parts the rest, judged on
+    their sum.  The error estimate sums the outer ones and the largest
+    relative row error times |value| (a bound for rows of one sign; a zero
+    row adds nothing); ``converged`` needs that outer judgement and every
+    row; ``evaluations`` counts all nodes.
     """
     inner_tol = 0.1 * rel_tol
     evaluations, rel_error, converged = 0, 0.0, True
@@ -373,9 +385,19 @@ def integrate_nested(outer: Callable, rel_tol: float) -> IntegralResult:
         converged = converged and bool(np.all(res.converged))
         return res.value
 
-    res = integrate_exp_sinh(lambda t: outer(t, inner), rel_tol - inner_tol)
-    return IntegralResult(res.value, res.error_estimate + rel_error * abs(res.value),
-                          res.evaluations + evaluations, res.converged and converged)
+    def values(t):
+        # in blocks, so the memory a call takes does not grow with the panels
+        blocks = np.array_split(t.ravel(), -(-t.size // 512))
+        return np.concatenate([outer(b, inner) for b in blocks]).reshape(t.shape)
+
+    edges, tol = (0.0, *cuts), rel_tol - inner_tol
+    parts = [integrate_panels(values, edges, tol)] if cuts else []
+    parts.append(integrate_exp_sinh(lambda t: values(edges[-1] + t), tol))
+    value, error = sum(p.value for p in parts), sum(p.error_estimate for p in parts)
+    # a part far smaller than the sum (a tail at e^-50) need not meet tol alone
+    return IntegralResult(value, error + rel_error * abs(value),
+                          sum(p.evaluations for p in parts) + evaluations,
+                          converged and error <= tol * abs(value))
 
 
 def integrate_1d(

@@ -288,16 +288,22 @@ class TestConfigPrecedence:
         assert captured.out == ""
         assert "scale" in captured.err
 
-    def test_env_rel_tol_applies_and_flag_wins(self, monkeypatch, capsys):
-        assert main(["force"]) == 0
+    def test_env_rel_tol_applies_and_flag_wins(self, monkeypatch, capsys, tmp_path):
+        # a polarization force over a lossy line costs more nodes at a
+        # tighter tolerance (the vacuum converges at 105 nodes at both)
+        path = tmp_path / "medium.json"
+        path.write_text(json.dumps({"electric": {"type": "lorentz", "omega_p": 1,
+                                                 "omega_0": 1, "gamma": 0.1}}))
+        argv = ["force", "--bc", "polarization", "--medium", str(path)]
+        assert main(argv) == 0
         baseline = parse_csv(capsys.readouterr().out)[1][0]
 
         monkeypatch.setenv(cli_mod.RELTOL_ENV, "1e-12")
-        assert main(["force"]) == 0
+        assert main(argv) == 0
         tight = parse_csv(capsys.readouterr().out)[1][0]
         assert int(tight["evaluations"]) > int(baseline["evaluations"])
 
-        assert main(["force", "--rel-tol", "1e-9"]) == 0
+        assert main([*argv, "--rel-tol", "1e-9"]) == 0
         overridden = parse_csv(capsys.readouterr().out)[1][0]
         assert overridden["evaluations"] == baseline["evaluations"]
 
@@ -573,9 +579,16 @@ EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200
     ({"type": "constant", "chi0": 1e308}, ["force", "--bc", "polarization"], 3),
     ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 0.1},
      ["force", "--bc", "polarization"], 3),
+    # omega_0^2, omega^2 and gamma omega all underflow: the response overflows
+    ({"type": "lorentz", "omega_p": 1, "omega_0": 1e-200, "gamma": 1e-200},
+     ["propagator", "--point", "1,1e-200", "--kinds", "GPP", "--field", "scalar"], 3),
+    # at H = 0.5 the exp-sinh node t = 1 sits exactly on the lossless line
+    ({"type": "sharp_resonance", "omega_p": 2, "omega_0": 1},
+     ["force", "--bc", "polarization", "--hmin", "0.4", "--hmax", "0.6", "--points", "3"], 0),
 ], ids=["lorentz-tiny-line-propagator", "wide-grid-force", "wide-grid-euclidean",
         "constant-1e308-force", "constant-1e308-polarization",
-        "lorentz-wp-1e200-polarization"])
+        "lorentz-wp-1e200-polarization", "lorentz-underflowed-propagator",
+        "sharp-line-on-a-node-polarization"])
 def test_extreme_inputs(tmp_path, capsys, electric, argv, code):
     # the documented exit code and never a traceback (here a RuntimeWarning
     # is an error too), one stderr line on a refusal, no nan in an ok row

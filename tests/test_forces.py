@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from casimir_medium import (
     Lorentz,
     Medium,
     QuadratureSpec,
+    TabulatedCoupling,
     VACUUM,
     force_field_bc,
     force_polarization_bc,
@@ -267,6 +270,89 @@ class TestFarSeparationPolarization:
         assert r == pytest.approx(r_value, abs=1e-6)
         deviation = abs(self._ratio(Lorentz(wp, w0, gamma), h) / closed - 1.0)
         assert deviation <= 10.0 / h**3 + self.SPEC.rel_tol
+
+
+def _lossless_rows_ratio(chi_bar, h):
+    """Polarization-BC ratio of a lossless medium from its closed rows.
+
+    With Im chi = 0 the denominator is D = chi^2 - e^-v, and each row is a
+    geometric series: integral_v0^inf chi^2 v^2 e^-v/D dv = chi^2 [v0^2
+    Li_1(z) + 2 v0 Li_2(z) + 2 Li_3(z)], z = e^-v0/chi^2, v0 = n t (z < 1,
+    D > 0 at the row's start, is the route's regime).  The ratio to the
+    vacuum force is 15/pi^4 times their t integral, here in 17-digit mpmath
+    with mpmath's polylogs; past t = 120, e^-v0 < 1e-52.  ``chi_bar`` maps
+    an mpf frequency to an mpf.
+    """
+    h = mp.mpf(h)
+
+    def row(t):
+        chi = chi_bar(t / (2 * h))
+        v0 = mp.sqrt(1 + chi) * t
+        z = mp.exp(-v0) / chi**2
+        return chi**2 * (v0**2 * mp.polylog(1, z) + 2 * v0 * mp.polylog(2, z)
+                         + 2 * mp.polylog(3, z))
+
+    with mp.workdps(17):
+        return float(15 / mp.pi**4 * mp.quad(row, [0, 4, 30, 120]))
+
+
+class TestLosslessPolarizationRows:
+    """The polarization BC on lossless media against ``_lossless_rows_ratio``.
+
+    The route runs at rel_tol 1e-12 and must meet it; the sharp lines are
+    refused at H = 0.3, so the gate starts at H = 1 (H = 0.5 for the line
+    whose resonance then sits on an exp-sinh node).
+    """
+
+    SPEC = QuadratureSpec(rel_tol=1e-12)
+
+    def _check(self, model, chi_bar, h):
+        res = force_polarization_bc(ForceQuery(
+            medium=Medium(electric=model), bc=BoundaryCondition.POLARIZATION,
+            separation=h, spec=self.SPEC))
+        assert res.converged
+        reference = _lossless_rows_ratio(chi_bar, h)
+        assert abs(res.vacuum_ratio / reference - 1.0) <= self.SPEC.rel_tol
+        return reference
+
+    @pytest.mark.parametrize("wp, w0", [(1.0, 1.0), (2.0, 1.0), (1.5, 0.7)])
+    @pytest.mark.parametrize("h", [1.0, 3.0, 10.0, 1e3])
+    def test_sharp_line(self, wp, w0, h):
+        self._check(Lorentz(wp, w0, 0.0),
+                    lambda p: mp.mpf(wp) ** 2 / (mp.mpf(w0) ** 2 + p * p), h)
+
+    def test_sharp_line_on_an_exp_sinh_node(self):
+        # 2 H omega_0 = 1 puts the exp-sinh node t = 1 (u = 0) on resonance,
+        # where a lossless line's Im chi is a delta function and no number
+        self._check(Lorentz(2.0, 1.0, 0.0), lambda p: 4 / (1 + p * p), 0.5)
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-1, 1.0, 10.0, 1e2])
+    def test_constant(self, h):
+        # here the rows' t integral is 90 chi0^2 Li_4(chi0^-2)/(pi^4 n0)
+        reference = self._check(Constant(2.0), lambda p: mp.mpf(2), h)
+        closed = 360.0 * float(mp.polylog(4, 0.25)) / (math.pi**4 * math.sqrt(3.0))
+        assert reference == pytest.approx(closed, rel=1e-15)
+
+
+def test_dense_tabulated_grid_in_bounded_memory():
+    # the truth sweep's 60-node Gaussian scaled by 30, each segment cut in five
+    # by collinear nodes: the same medium on 296 nodes, so 295 panel edges
+    w = [0.2 + 2.8 * k / 59 for k in range(60)]
+    g = [30.0 * math.exp(-((x - 1.2) / 0.4) ** 2) for x in w]
+    fine = [a + (b - a) * j / 5 for a, b in zip(w, w[1:]) for j in range(5)] + [w[-1]]
+    coupling = TabulatedCoupling(tuple(fine), tuple(np.interp(fine, w, g)))
+    query = ForceQuery(medium=Medium(electric=coupling), bc=BoundaryCondition.POLARIZATION,
+                       separation=10.0**1.2)
+    tracemalloc.start()
+    try:
+        res = force_polarization_bc(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # bytes; one block of the first pass held all nodes at once
+    # reference: the truth sweep's TABULATED_X30_RATIO at H = 10^1.2
+    assert res.converged
+    assert res.vacuum_ratio == pytest.approx(0.210041142936451, rel=query.spec.rel_tol)
 
 
 def _oracle_polarization_force(model, h):

@@ -506,6 +506,14 @@ class TestKramersKronig:
             worst = max(worst, abs(via_kk - direct) / abs(direct))
         assert worst < 1e-6
 
+    def test_only_a_narrow_line_is_a_breakpoint(self, default_spec):
+        assert Lorentz(1.0, 1.0, 0.1)._dispersion_breakpoints() == (1.0,)
+        for model in (Lorentz(1.0, 1.0, 1.0), Lorentz(1.0, 1.0, 0.0), Drude(1.0, 0.5)):
+            assert model._dispersion_breakpoints() == ()
+        # with no breakpoint and xi = 0 the algebraic tail starts at w = 1
+        model = Lorentz(omega_p=2.0, omega_0=0.5, gamma=1.0)
+        assert kk_imaginary_axis(model, 0.0, default_spec) == pytest.approx(16.0, rel=1e-9)
+
     def test_requires_absorption(self, default_spec):
         with pytest.raises(DomainError):
             kk_imaginary_axis(Constant(1.0), 1.0, default_spec)

@@ -30,6 +30,7 @@ from casimir_medium.quadrature import (
     _DEBYE_SERIES,
     ZETA_3,
     integrate_nested,
+    integrate_panels,
     integrate_tanh_sinh,
 )
 
@@ -402,6 +403,57 @@ class TestIntegrateNested:
             warnings.simplefilter("error", RuntimeWarning)
             value = force_via_action_fd(query, 1e-3)
         assert value == pytest.approx(force_field_bc(query).force_per_area, rel=1e-5)
+
+    def test_cuts_split_the_outer_integral(self):
+        # panels on [0, 0.5], [0.5, 2] first, then exp-sinh past t = 2
+        tail_calls = []
+
+        def outer(t, inner):
+            tail_calls.append(bool(t.min() >= 2.0))
+            return _gompertz(t, inner)
+
+        res = integrate_nested(outer, 1e-12, (0.5, 2.0))
+        assert tail_calls == sorted(tail_calls) and not tail_calls[0] and tail_calls[-1]
+        assert res.converged
+        assert abs(res.value - GOMPERTZ) <= res.error_estimate <= 1e-12 * res.value
+        assert res.evaluations > 2 * 103 * 105
+
+    def test_outer_calls_take_bounded_blocks(self):
+        # 200 panels put 20,600 nodes in the first pass; outer sees them in blocks
+        sizes = []
+
+        def outer(t, inner):
+            sizes.append(t.size)
+            return _gompertz(t, inner)
+
+        res = integrate_nested(outer, 1e-9, tuple(0.05 * k for k in range(1, 201)))
+        assert max(sizes) <= 512 and sum(sizes) > 200 * 103
+        assert res.converged and res.value == pytest.approx(GOMPERTZ, rel=1e-9)
+
+    def test_parts_are_judged_on_their_sum(self):
+        # the tail past t = 1 holds a kink at t = 3 and 1e-20 of the integral:
+        # it cannot meet 1e-12 of its own value, but it need not
+        def outer(t, inner):
+            tail = 1e-20 * abs(t - 3.0) * np.exp(-t)
+            return np.where(t < 1.0, 1.0, tail) + 0.0 * inner(lambda s: np.exp(-s) * t[:, None])
+
+        res = integrate_nested(outer, 1e-12, (1.0,))
+        assert res.converged
+        assert res.value == pytest.approx(1.0, rel=1e-15)
+        assert res.error_estimate <= 1e-12
+
+
+class TestIntegratePanels:
+    def test_kinks_at_the_edges(self):
+        # |x - 1| + |x - 2| on [0, 3] is linear on each panel: exactly 5
+        res = integrate_panels(lambda x: abs(x - 1.0) + abs(x - 2.0),
+                               (0.0, 1.0, 2.0, 3.0), 1e-13)
+        assert res.converged and res.value == pytest.approx(5.0, rel=1e-14)
+        assert res.evaluations == 103
+
+    def test_infinite_edge_is_an_algebraic_tail(self):
+        res = integrate_panels(lambda x: 1.0 / (1.0 + x * x), (0.0, 1.0, math.inf), 1e-13)
+        assert res.converged and res.value == pytest.approx(math.pi / 2.0, rel=1e-13)
 
 
 class TestIntegrate1D:
