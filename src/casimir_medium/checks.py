@@ -10,6 +10,7 @@ drift apart.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,11 +227,11 @@ def check_kk(spec: QuadratureSpec | None = None) -> list[CheckResult]:
 
 def sample_dyson_points(medium: Medium) -> list[MomentumFrequencyPoint]:
     """Deterministic sample of real-axis points with contraction ratio < 0.9."""
-    rng = np.random.default_rng(DYSON_SEED)
+    rng = random.Random(DYSON_SEED)
     points = []
     while len(points) < DYSON_POINTS:
-        k = float(rng.uniform(0.0, 3.0))
-        omega = float(rng.uniform(0.05, 2.5))
+        k = rng.uniform(0.0, 3.0)
+        omega = rng.uniform(0.05, 2.5)
         r = omega * omega * medium.electric.chi_real_axis(omega) * g0(k, omega)
         if abs(r) < 0.9:
             points.append(MomentumFrequencyPoint.real_axis(k, omega))

@@ -180,18 +180,21 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     D = alpha - exp(-2EH) written without cancellation (the literal
     difference rounds to zero for chi_bar(0) = 1 media at the rule's
     smallest t).  It runs on ``integrate_nested``: the p0-only factors once
-    per outer node, the v - n t integrals of a pass as one block of rows,
-    the t integral in panels that end at the medium's sharp frequencies.
-    ``converged`` means the error estimate is within ``rel_tol`` of the
-    force at every separation.
+    per outer node, the t integral in panels that end at the medium's sharp
+    frequencies, the v - n t = s integrals of a pass as one block of rows:
+    chi_bar^2 v^2 and D = D0 + (Im chi/2H) s + exp(-n t)(1 - exp(-s)) as
+    two matrix products over powers of s, and one division.  ``converged``
+    means the error estimate is within ``rel_tol`` of the force at every
+    separation.
 
     The absorptive part is read off the real axis at a frequency equal to
     the Euclidean one (chi_bar itself is strictly real; lossless models
-    contribute zero).  Where D loses positivity at any node the medium is
-    outside this boundary condition's regime of validity and
-    InvalidRegimeError names the first such node (modes with zero coupling
-    or an underflowed weight exp(-n t) add exactly 0 and are exempt).  A
-    vanishing electric response gives exactly zero force.
+    contribute zero).  D grows with v, so where D at a row's start v = n t,
+    D0, is <= 0 the medium is outside this boundary condition's regime of
+    validity and InvalidRegimeError names the first such mode, at q = 0
+    (modes with zero coupling or an underflowed weight exp(-n t) add
+    exactly 0 and are exempt).  A vanishing electric response gives exactly
+    zero force.
     """
     if query.bc is not BoundaryCondition.POLARIZATION:
         raise DomainError("this route computes the polarization boundary condition")
@@ -218,30 +221,32 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
         # zero-coupling modes and modes whose weight underflows add exactly 0
         # and are exempt; so chi^2 and Im chi are only formed where v0 <= 745
         live = (chi != 0.0) & (weight > 0.0)
-        p0, chi, v0 = p0[live], chi[live], v0[live, None]
-        noise = electric.im_chi(p0) if electric.has_absorption else 0.0 * p0
-        chi2 = (chi * chi)[:, None]
-        gap = ((chi - 1.0) * (chi + 1.0))[:, None]
-        noise_per_v = (noise * inv2h)[:, None]
+        p0, chi, v0, w = p0[live], chi[live], v0[live], weight[live]
+        a = (electric.im_chi(p0) if electric.has_absorption else 0.0 * p0) * inv2h
+        # along a row 1 - e^-v = (1 - e^-v0) + w (1 - e^-s), so D = d0 + a s +
+        # w (1 - e^-s) grows with s from d0: the row is valid iff d0 > 0
+        d0 = v0 * a + (chi - 1.0) * (chi + 1.0) - np.expm1(-v0)
+        invalid = d0 <= 0.0
+        if invalid.any():
+            i = np.argmax(invalid)
+            raise InvalidRegimeError(float(p0[i]), 0.0, float(d0[i]))
+        # chi^2 v^2 e^-s and D as sums over powers of s of terms >= 0 (exp(-v0)
+        # comes out of the row, so far rows do not underflow)
+        chi2 = chi * chi
+        num = np.stack((chi2 * v0 * v0, 2.0 * chi2 * v0, chi2), axis=1)
+        den = np.stack((d0, a, w), axis=1)
 
         def rows(s):
-            v = v0 + s
-            den = v * noise_per_v + gap - np.expm1(-v)
-            invalid = den <= 0.0
-            if invalid.any():
-                i, j = np.unravel_index(np.argmax(invalid), den.shape)
-                q = math.sqrt(s[j] * (s[j] + 2.0 * v0[i, 0])) * inv2h
-                raise InvalidRegimeError(float(p0[i]), q, float(den[i, j]))
-            # exp(-v0) comes out of the row, so far rows do not underflow
-            return chi2 * v * v * np.exp(-s) / den
+            e, ones = np.exp(-s), np.ones_like(s)
+            return (num @ [e, s * e, s * s * e]) / (den @ [ones, s, -np.expm1(-s)])
 
         values = np.zeros(t.shape)
-        values[live] = inner(rows) * weight[live]
+        values[live] = inner(rows) * w
         return values
 
     # Im chi has poles or kinks on or next to the axis at t = 2 H w: panel edges
-    # there, but for t > 50, where exp(-n t) < 2e-22
-    edges = np.unique(2.0 * h * np.array(electric._dispersion_breakpoints(), dtype=float))
+    # there (the breakpoints ascend), but for t > 50, where exp(-n t) < 2e-22
+    edges = 2.0 * h * np.array(electric._dispersion_breakpoints(), dtype=float)
     cuts = edges[(edges > 0.0) & (edges <= 50.0)].tolist()
     res = integrate_nested(integrand, query.spec.rel_tol, cuts)
     return _force_result(h, FieldKind.SCALAR, inv2h**4 / (2.0 * _PI2), res)

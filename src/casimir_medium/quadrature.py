@@ -188,17 +188,18 @@ def inner_mode_integral(a, h: float):
     Parameters
     ----------
     a : float or ndarray
-        Lower limit (the in-plane mass gap of the mode), a >= 0; an array
-        is evaluated elementwise and gives an array of the same shape.
+        Lower limit (the in-plane mass gap of the mode), a >= 0, where
+        a = +inf gives the limit 0; an array is evaluated elementwise and
+        gives an array of the same shape.
     h : float
         Mirror separation H > 0.
     """
     if not (h > 0.0 and math.isfinite(h)):
         raise DomainError(f"separation must be positive, got {h!r}")
     gap = np.asarray(a, dtype=float)
-    # NaN fails both comparisons
-    if not (gap.min(initial=math.inf) >= 0.0 and gap.max(initial=0.0) < math.inf):
-        bad = gap[~((gap >= 0.0) & np.isfinite(gap))].flat[0]
+    # the minimum is NaN if any element is, and NaN fails the comparison
+    if not gap.min(initial=math.inf) >= 0.0:
+        bad = gap[~(gap >= 0.0)].flat[0]
         raise DomainError(f"lower limit must be >= 0, got {float(bad)!r}")
     x = (2.0 * h) * gap.ravel()
     j = np.empty_like(x)
@@ -387,8 +388,10 @@ def integrate_nested(outer: Callable, rel_tol: float, cuts: Sequence = ()) -> In
 
     def values(t):
         # in blocks, so the memory a call takes does not grow with the panels
-        blocks = np.array_split(t.ravel(), -(-t.size // 512))
-        return np.concatenate([outer(b, inner) for b in blocks]).reshape(t.shape)
+        nodes, out = t.ravel(), np.empty(t.size)
+        for i in range(0, t.size, 512):
+            out[i:i + 512] = outer(nodes[i:i + 512], inner)
+        return out.reshape(t.shape)
 
     edges, tol = (0.0, *cuts), rel_tol - inner_tol
     parts = [integrate_panels(values, edges, tol)] if cuts else []

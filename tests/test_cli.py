@@ -579,6 +579,10 @@ EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200
     ({"type": "constant", "chi0": 1e308}, ["force", "--bc", "polarization"], 3),
     ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 0.1},
      ["force", "--bc", "polarization"], 3),
+    # chi_bar overflows, so n p0 is inf: J(inf) = 0, every value underflows
+    ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 0.1}, ["force"], 3),
+    ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 0.1},
+     ["force", "--field", "em"], 3),
     # omega_0^2, omega^2 and gamma omega all underflow: the response overflows
     ({"type": "lorentz", "omega_p": 1, "omega_0": 1e-200, "gamma": 1e-200},
      ["propagator", "--point", "1,1e-200", "--kinds", "GPP", "--field", "scalar"], 3),
@@ -587,7 +591,8 @@ EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200
      ["force", "--bc", "polarization", "--hmin", "0.4", "--hmax", "0.6", "--points", "3"], 0),
 ], ids=["lorentz-tiny-line-propagator", "wide-grid-force", "wide-grid-euclidean",
         "constant-1e308-force", "constant-1e308-polarization",
-        "lorentz-wp-1e200-polarization", "lorentz-underflowed-propagator",
+        "lorentz-wp-1e200-polarization", "lorentz-wp-1e200-force",
+        "lorentz-wp-1e200-force-em", "lorentz-underflowed-propagator",
         "sharp-line-on-a-node-polarization"])
 def test_extreme_inputs(tmp_path, capsys, electric, argv, code):
     # the documented exit code and never a traceback (here a RuntimeWarning
@@ -663,6 +668,18 @@ def test_field_route_does_not_import_quadpack(tmp_path):
         "sys.exit(5 if any(m.split('.')[0] == 'scipy' for m in sys.modules) else 0)"
     )
     proc = _run_python(code, str(lorentz), str(tabulated))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_check_dyson_does_not_import_numpy_random():
+    # the 50 seeded points come from the stdlib generator; numpy.random
+    # would lift the cold child's resident memory by about 5.6 MB
+    code = (
+        "import sys; import casimir_medium.cli as cli; "
+        "assert cli.main(['check', 'dyson']) == 0; "
+        "sys.exit(5 if 'numpy.random' in sys.modules else 0)"
+    )
+    proc = _run_python(code)
     assert proc.returncode == 0, proc.stderr
 
 

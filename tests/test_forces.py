@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import casimir_medium
+import casimir_medium.forces as forces_module
 from casimir_medium import (
     BoundaryCondition,
     Constant,
@@ -39,6 +41,7 @@ from casimir_medium import (
     nondispersive_scaling_check,
     vacuum_force_analytic,
 )
+from casimir_medium.quadrature import _DE_FIRST_LEVELS, _EXP_SINH
 
 from .conftest import polarization_far_drude, polarization_far_lorentz
 
@@ -461,8 +464,19 @@ class TestPolarizationBoundaryCondition:
     def test_refusal_names_a_mode_outside_the_regime(self, medium, h):
         with pytest.raises(InvalidRegimeError) as err:
             self._force(medium, h)
-        assert err.value.p0 > 0.0 and err.value.q >= 0.0
+        # the route tests each row at its start v = n t, where q = 0
+        assert err.value.p0 > 0.0 and err.value.q == 0.0
         assert err.value.denominator <= 0.0
+
+    def test_narrow_line_converges_at_tight_tolerance(self):
+        # the line's pole sits next to the right end of the head panel
+        # [0, 2 H w0]; this point ended unconverged after 195,936 evaluations
+        # when each node's D was summed from terms of both signs; reference:
+        # the truth sweep's mpmath script at H = 1
+        spec = QuadratureSpec(rel_tol=1e-12)
+        res = self._force(Medium(electric=Lorentz(1.0, 1.0, 0.01)), 1.0, spec)
+        assert res.converged
+        assert res.vacuum_ratio == pytest.approx(0.7532847715680998, rel=spec.rel_tol)
 
     @pytest.mark.parametrize("chi0", [1.0, 1.5, 2.0, 4.0, 15.0])
     @pytest.mark.parametrize("h", [1e-3, 0.5, 1.0, 2.0, 5.0, 1e3, 1e5])
@@ -489,11 +503,14 @@ class TestPolarizationBoundaryCondition:
         assert res.evaluations >= 105 * 105
 
     def test_route_does_not_import_quadpack(self):
+        # nor numpy's lazily loaded numpy.ma (np.unique loads it), whose
+        # import costs a cold CLI child about 1 MB and 24 ms
         code = (
             "import sys; from casimir_medium import *; "
             "force_polarization_bc(ForceQuery(medium=Medium(electric=Lorentz(1.0, 1.0, 1.0)), "
             "bc=BoundaryCondition.POLARIZATION, separation=1.4)); "
-            "sys.exit(5 if 'scipy.integrate' in sys.modules else 0)"
+            "sys.exit(5 if 'scipy.integrate' in sys.modules else "
+            "6 if 'numpy.ma' in sys.modules else 0)"
         )
         src = str(Path(casimir_medium.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
@@ -606,6 +623,92 @@ class TestPolarizationBoundaryCondition:
                     separation=1.0,
                 )
             )
+
+
+def _kernel_grid():
+    rng = random.Random(2404)
+    w = [0.2 + 2.8 * k / 59 for k in range(60)]
+    x30 = TabulatedCoupling(tuple(w), tuple(30.0 * math.exp(-((x - 1.2) / 0.4) ** 2)
+                                            for x in w))
+    return [
+        # around the regime edge H* = 1/sqrt(2) of the test above
+        *(pytest.param(Lorentz(1.0, 1.0, 1.0), f / math.sqrt(2.0), id=f"lorentz-{f}H*")
+          for f in (0.9, 0.99, 1.01)),
+        *(pytest.param(Lorentz(0.5, 1.0, 0.05), h, id=f"weak-{h:.3g}")
+          for h in (0.2 * 20.0 ** rng.random() for _ in range(6))),
+        *(pytest.param(Constant(chi0), 1.0, id=f"constant-{chi0}")
+          for chi0 in (0.5, 0.99, 1.0, 2.0)),
+        # the truth sweep's tabulated coupling scaled by 30, at in-regime H
+        *(pytest.param(x30, 10.0 ** (-3.0 + 0.2 * k), id=f"tabulated-x30-k{k}")
+          for k in (12, 16, 21, 26)),
+    ]
+
+
+class _StopRoute(Exception):
+    pass
+
+
+class TestPolarizationKernel:
+    """The route's rows and its refusal rule against the literal formula.
+
+    The route forms its block of rows as two matrix products and tests the
+    regime once per row, at the row's start.  Here one outer call runs on
+    the exp-sinh first-pass nodes t, its rows on the same nodes s, next to
+    the literal chi_bar^2 v^2 e^-s / D with D = (v/2H) Im chi + (chi_bar -
+    1)(chi_bar + 1) - expm1(-v), v = n t + s, from the public model methods.
+    """
+
+    NODES = _EXP_SINH[0][:_EXP_SINH[1][_DE_FIRST_LEVELS]]
+
+    @staticmethod
+    def _literal(model, h, s):
+        # p0 of the live rows, chi_bar, v and the three terms D sums, on s
+        medium, t = Medium(electric=model), TestPolarizationKernel.NODES
+        p0 = t * (0.5 / h)
+        chi = model.chi_bar(p0)
+        v0 = medium.refractive_index(FieldKind.SCALAR, p0) * t
+        live = (chi != 0.0) & (np.exp(-v0) > 0.0)
+        p0, chi, v = p0[live], chi[live, None], v0[live, None] + s
+        noise = model.im_chi(p0) if model.has_absorption else 0.0 * p0
+        return p0, chi, v, (v * (noise * (0.5 / h))[:, None],
+                            (chi - 1.0) * (chi + 1.0), -np.expm1(-v))
+
+    @staticmethod
+    def _kernel(model, h, monkeypatch):
+        # the route's rows on the nodes, or its refusal
+        seen = {}
+
+        def one_call(outer, rel_tol, cuts=()):
+            def inner(rows):
+                seen["rows"] = rows(TestPolarizationKernel.NODES)
+                return np.ones(len(seen["rows"]))
+            outer(TestPolarizationKernel.NODES, inner)
+            raise _StopRoute
+
+        monkeypatch.setattr(forces_module, "integrate_nested", one_call)
+        with pytest.raises((_StopRoute, InvalidRegimeError)) as err:
+            force_polarization_bc(ForceQuery(medium=Medium(electric=model),
+                                             bc=BoundaryCondition.POLARIZATION,
+                                             separation=h))
+        return seen.get("rows"), err.value
+
+    @pytest.mark.parametrize("model, h", _kernel_grid())
+    def test_refusal_and_rows_match_the_literal_formula(self, model, h, monkeypatch):
+        p0, chi, v, terms = self._literal(model, h, self.NODES)
+        den = sum(terms)
+        rows, raised = self._kernel(model, h, monkeypatch)
+        assert isinstance(raised, InvalidRegimeError) == bool((den <= 0.0).any())
+        if isinstance(raised, InvalidRegimeError):
+            # the first row whose start v = n t has D <= 0, named at q = 0
+            starts = sum(self._literal(model, h, 0.0)[3])[:, 0]
+            i = np.flatnonzero(starts <= 0.0)[0]
+            assert (raised.p0, raised.q) == (p0[i], 0.0)
+            assert raised.denominator == pytest.approx(starts[i], rel=1e-12)
+        else:
+            # within a few ulps of the terms D sums, and of the numerator
+            literal = chi * chi * v * v * np.exp(-self.NODES) / den
+            ulps = 8.0 * np.finfo(float).eps * (1.0 + sum(map(np.abs, terms)) / den)
+            assert np.all(np.abs(rows - literal) <= ulps * literal)
 
 
 class TestUnderflowedSum:

@@ -172,7 +172,9 @@ class TestInnerModeIntegral:
         with pytest.raises(DomainError):
             inner_mode_integral(1.0, 0.0)
         with pytest.raises(DomainError):
-            inner_mode_integral(math.inf, 1.0)
+            inner_mode_integral(math.nan, 1.0)
+        # an infinite gap is the limit J = 0, not an error
+        assert inner_mode_integral(math.inf, 1.0) == 0.0
 
     @given(
         st.floats(min_value=0.0, max_value=20.0),
@@ -204,10 +206,15 @@ class TestArrayModeIntegral:
             got = inner_mode_integral(np.array([a]), 0.25)[0]
             assert got == pytest.approx(ref, rel=1e-13)
 
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, -math.inf])
     def test_domain_checked_elementwise(self, bad):
         with pytest.raises(DomainError):
             inner_mode_integral(np.array([0.5, bad]), 1.0)
+
+    def test_infinite_gap_gives_zero_elementwise(self):
+        # where chi_bar overflows, n p0 is inf and the mode adds exactly 0
+        got = inner_mode_integral(np.array([0.5, math.inf]), 1.0)
+        assert got[0] == inner_mode_integral(0.5, 1.0) and got[1] == 0.0
 
 
 class TestModeIntegralSeries:
