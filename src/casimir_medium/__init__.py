@@ -14,113 +14,20 @@ plate area; negative values are attractive. The main entry points:
 * :mod:`casimir_medium.cli`: the ``casimir-medium`` command.
 """
 
-from .errors import (
-    CasimirMediumError,
-    DegenerateModeError,
-    DomainError,
-    IntegrationFailureError,
-    InvalidRegimeError,
-    MediumFileError,
-    MediumInstabilityError,
-    PoleError,
-    UnsupportedDistributionError,
-)
-from .forces import (
-    BoundaryCondition,
-    ForceQuery,
-    ForceResult,
-    force_field_bc,
-    force_polarization_bc,
-    force_via_action_fd,
-    matter_only_force,
-    mode_logdet,
-    nondispersive_scaling_check,
-    vacuum_force_analytic,
-)
-from .medium import (
-    Constant,
-    Drude,
-    FieldKind,
-    Lorentz,
-    Medium,
-    SusceptibilityModel,
-    TabulatedCoupling,
-    VACUUM,
-    kk_imaginary_axis,
-    load_medium,
-    medium_from_dict,
-)
-from .propagators import (
-    Axis,
-    CrossCorrelators,
-    DysonPartialSum,
-    MomentumFrequencyPoint,
-    cross_correlators,
-    dyson_partial_sum,
-    g0,
-    g_omega,
-    g_phiphi,
-    reservoir_gap,
-)
-from .quadrature import (
-    IntegralResult,
-    QuadratureSpec,
-    inner_mode_integral,
-    integrate_1d,
-    integrate_2d_oracle,
-    integrate_exp_sinh,
-    polylog,
-)
+from . import errors, forces, medium, propagators, quadrature
+from .errors import *  # noqa: F403
+from .forces import *  # noqa: F403
+from .medium import *  # noqa: F403
+from .propagators import *  # noqa: F403
+from .quadrature import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Axis",
-    "BoundaryCondition",
-    "CasimirMediumError",
-    "Constant",
-    "CrossCorrelators",
-    "DegenerateModeError",
-    "DomainError",
-    "Drude",
-    "DysonPartialSum",
-    "FieldKind",
-    "ForceQuery",
-    "ForceResult",
-    "IntegralResult",
-    "IntegrationFailureError",
-    "InvalidRegimeError",
-    "Lorentz",
-    "Medium",
-    "MediumFileError",
-    "MediumInstabilityError",
-    "MomentumFrequencyPoint",
-    "PoleError",
-    "QuadratureSpec",
-    "SusceptibilityModel",
-    "TabulatedCoupling",
-    "UnsupportedDistributionError",
-    "VACUUM",
-    "cross_correlators",
-    "dyson_partial_sum",
-    "force_field_bc",
-    "force_polarization_bc",
-    "force_via_action_fd",
-    "g0",
-    "g_omega",
-    "g_phiphi",
-    "inner_mode_integral",
-    "integrate_1d",
-    "integrate_2d_oracle",
-    "integrate_exp_sinh",
-    "kk_imaginary_axis",
-    "load_medium",
-    "matter_only_force",
-    "medium_from_dict",
-    "mode_logdet",
-    "nondispersive_scaling_check",
-    "polylog",
-    "reservoir_gap",
-    "vacuum_force_analytic",
+    *errors.__all__,
+    *forces.__all__,
+    *medium.__all__,
+    *propagators.__all__,
+    *quadrature.__all__,
     "__version__",
 ]

@@ -5,6 +5,18 @@ that would produce them (poles, unstable media, divergent integrals) raise
 one of the errors below instead.
 """
 
+__all__ = [
+    "CasimirMediumError",
+    "DomainError",
+    "PoleError",
+    "UnsupportedDistributionError",
+    "MediumInstabilityError",
+    "IntegrationFailureError",
+    "InvalidRegimeError",
+    "DegenerateModeError",
+    "MediumFileError",
+]
+
 
 class CasimirMediumError(Exception):
     """Base class for all package-specific errors."""

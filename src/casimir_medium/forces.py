@@ -124,14 +124,15 @@ def vacuum_force_analytic(kind: FieldKind, separation: float) -> float:
 
 
 def _force_result(h: float, kind: FieldKind, prefactor: float, res) -> ForceResult:
-    # the force is -prefactor times the integral ``res``
-    force = -prefactor * res.value
+    # the force is -prefactor times the integral ``res``; 0.0 - x keeps an
+    # underflowed (zero) integral at +0.0 and negates every other x exactly
+    scaled = prefactor * res.value
     return ForceResult(
         separation=h,
-        force_per_area=force,
+        force_per_area=0.0 - scaled,
         error_estimate=prefactor * res.error_estimate,
         evaluations=res.evaluations,
-        vacuum_ratio=force / vacuum_force_analytic(kind, h),
+        vacuum_ratio=scaled / -vacuum_force_analytic(kind, h),
         # both integrands are > 0, so a zero sum is underflow, not a value
         converged=res.converged and res.value > 0.0,
     )
@@ -205,7 +206,7 @@ def force_polarization_bc(query: ForceQuery) -> ForceResult:
     electric, h = query.medium.electric, query.separation
     # a lossless model that vanishes at one frequency vanishes at all
     if not electric.has_absorption and electric.chi_bar(1.0) == 0.0:
-        # literal +0.0: -prefactor * 0.0 would give a vacuum_ratio of -0
+        # exactly zero and converged: a zero integral would read as underflow
         return ForceResult(separation=h, force_per_area=0.0, error_estimate=0.0,
                            evaluations=0, vacuum_ratio=0.0, converged=True)
 

@@ -189,8 +189,10 @@ class Lorentz(SusceptibilityModel):
             raise DomainError(
                 "free-carrier response diverges at zero imaginary frequency"
             )
-        wp2 = self.omega_p * self.omega_p
-        return wp2 / (self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi)
+        den = self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi
+        if type(xi) is float and den == 0.0:  # all underflowed
+            raise DomainError(f"Lorentz response overflows at xi = {xi!r}")
+        return self.omega_p * self.omega_p / den
 
     def im_chi(self, omega):
         _check_omega(omega)
@@ -284,11 +286,7 @@ class TabulatedCoupling(SusceptibilityModel):
 
     def _g(self, omega):
         # zero outside the grid, closed at the end nodes, exact at every node
-        grid, g = self._nodes, self._values
-        i = np.clip(np.searchsorted(grid, omega, side="right") - 1, 0, grid.size - 2)
-        inside = np.where(omega == grid[-1], g[-1],
-                          g[i] + (omega - grid[i]) * self._slopes[i])
-        value = np.where((omega >= grid[0]) & (omega <= grid[-1]), inside, 0.0)
+        value = np.interp(omega, self._nodes, self._values, left=0.0, right=0.0)
         return value if isinstance(omega, np.ndarray) else float(value)
 
     def chi_bar(self, xi):
@@ -358,8 +356,7 @@ class TabulatedCoupling(SusceptibilityModel):
                             f"omega = {float(omega)!r}")
         log_ratio[value_jump == 0.0] = 0.0
         real = (slope_jump @ kink + value_jump @ log_ratio) / (2.0 * a)
-        imag = 0.5 * math.pi * self._g(a) / a * math.copysign(1.0, omega)
-        return complex(real, imag)
+        return complex(real, math.copysign(self.im_chi(a), omega))
 
     @property
     def has_absorption(self) -> bool:

@@ -28,7 +28,6 @@ __all__ = [
     "MomentumFrequencyPoint",
     "CrossCorrelators",
     "DysonPartialSum",
-    "DEFAULT_ETA",
     "g0",
     "g_omega",
     "g_phiphi",
@@ -187,7 +186,8 @@ def g_phiphi(
     positive.  Real axis: 1/(k^2 (1 - chi_m) - omega^2 (1 + chi_e)) with the
     same retarded shift and pole rule as ``g0``, so the geometric
     resummation identity holds exactly at finite eta.  On both axes k = 0
-    at zero frequency is a DegenerateModeError.  Scalar calculations take
+    at zero frequency is a DegenerateModeError, and a NaN value (overflowing
+    terms) a DomainError.  Scalar calculations take
     chi_m = 0.  Returns the complex value (real on the Euclidean axis).
     """
     k = point.k
@@ -203,6 +203,8 @@ def g_phiphi(
             raise DegenerateModeError(
                 f"zero mode at (k={k:g}, xi={xi:g}); propagator undefined"
             )
+        if den != den:  # overflowing terms, as in ``_retarded``
+            raise DomainError(f"propagator is NaN at (k={k:g}, xi={xi:g})")
         return complex(1.0 / den)
 
     omega = point.frequency
@@ -233,15 +235,12 @@ def cross_correlators(
     k, omega = point.k, point.frequency
     chi_e = medium.electric.chi_real_axis(omega)
     chi_m = medium.magnetic.chi_real_axis(omega)
-    # static point: no absorption (a Drude chi_real_axis(0) has raised)
-    noise_e = medium.electric.im_chi(abs(omega)) if omega else 0.0
-    noise_m = medium.magnetic.im_chi(abs(omega)) if omega else 0.0
     g = _retarded(k * k * (1.0 - chi_m), omega * omega * (1.0 + chi_e), omega, eta)
     return CrossCorrelators(
         g_phi_p=1j * omega * chi_e * g,
         g_phi_m=1j * k * omega * chi_m * g,
-        g_pp=noise_e + omega * omega * chi_e * chi_e * g,
-        g_mm=noise_m + k * k * chi_m * chi_m * g,
+        g_pp=abs(chi_e.imag) + omega * omega * chi_e * chi_e * g,
+        g_mm=abs(chi_m.imag) + k * k * chi_m * chi_m * g,
     )
 
 

@@ -37,12 +37,8 @@ __all__ = [
     "polylog",
     "inner_mode_integral",
     "integrate_exp_sinh",
-    "integrate_tanh_sinh",
-    "integrate_panels",
-    "integrate_nested",
     "integrate_1d",
     "integrate_2d_oracle",
-    "ZETA_3",
 ]
 
 # zeta(3) and friends, to full double precision

@@ -586,6 +586,15 @@ EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200
     # omega_0^2, omega^2 and gamma omega all underflow: the response overflows
     ({"type": "lorentz", "omega_p": 1, "omega_0": 1e-200, "gamma": 1e-200},
      ["propagator", "--point", "1,1e-200", "--kinds", "GPP", "--field", "scalar"], 3),
+    # every integrand value underflows: the force is +0, not -0
+    ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 1},
+     ["force", "--bc", "polarization"], 3),
+    # chi_bar(0) = inf, so the Euclidean denominator k^2 + 0 * inf is NaN
+    ({"type": "lorentz", "omega_p": 1e200, "omega_0": 1, "gamma": 1},
+     ["propagator", "--axis", "euclidean", "--kinds", "Gphiphi", "--point", "1,0"], 3),
+    # omega_0^2 underflows, so chi_bar(0) divides by zero
+    ({"type": "sharp_resonance", "omega_p": 1, "omega_0": 1e-200},
+     ["propagator", "--axis", "euclidean", "--kinds", "Gphiphi", "--point", "1,0"], 3),
     # at H = 0.5 the exp-sinh node t = 1 sits exactly on the lossless line
     ({"type": "sharp_resonance", "omega_p": 2, "omega_0": 1},
      ["force", "--bc", "polarization", "--hmin", "0.4", "--hmax", "0.6", "--points", "3"], 0),
@@ -593,10 +602,12 @@ EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200
         "constant-1e308-force", "constant-1e308-polarization",
         "lorentz-wp-1e200-polarization", "lorentz-wp-1e200-force",
         "lorentz-wp-1e200-force-em", "lorentz-underflowed-propagator",
-        "sharp-line-on-a-node-polarization"])
+        "lorentz-wp-1e200-gamma-1-polarization", "lorentz-wp-1e200-euclidean",
+        "sharp-line-underflowed-euclidean", "sharp-line-on-a-node-polarization"])
 def test_extreme_inputs(tmp_path, capsys, electric, argv, code):
     # the documented exit code and never a traceback (here a RuntimeWarning
     # is an error too), one stderr line on a refusal, no nan in an ok row
+    # and no -0 anywhere
     path = tmp_path / "medium.json"
     path.write_text(json.dumps({"electric": electric}))
     rc = main([*argv, "--medium", str(path)])
@@ -608,6 +619,7 @@ def test_extreme_inputs(tmp_path, capsys, electric, argv, code):
     for row in out.splitlines()[1:]:
         fields = row.split(",")
         assert "nan" not in fields or fields[-1] == "error", row
+        assert "-0" not in fields, row
 
 
 def _run_entry_point(value, *args):

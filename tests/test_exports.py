@@ -18,3 +18,16 @@ def test_star_import(module):
     namespace = {}
     exec(f"from {module} import *", namespace)
     assert len(namespace) > 1  # more than __builtins__
+
+
+def test_package_reexports_the_modules_public_names():
+    # one list of public names: each module's __all__, plus __version__
+    from casimir_medium import errors, forces, medium, propagators, quadrature
+
+    modules = (errors, forces, medium, propagators, quadrature)
+    expected = [name for module in modules for name in module.__all__]
+    assert casimir_medium.__all__ == expected + ["__version__"]
+    assert len(set(casimir_medium.__all__)) == len(casimir_medium.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(casimir_medium, name) is getattr(module, name), name

@@ -126,6 +126,11 @@ class TestLorentz:
         with pytest.raises(DomainError, match="gamma"):
             Lorentz(omega_p=1.0, omega_0=0.0, gamma=0.0)
 
+    def test_underflowed_denominator_rejected(self):
+        # omega_0^2 + xi^2 + gamma xi rounds to 0: a DomainError naming xi
+        with pytest.raises(DomainError, match="xi = 0.0"):
+            Lorentz(1.0, 1e-200, 0.0).chi_bar(0.0)
+
     def test_large_damping_is_no_overflow(self):
         # gamma^2 = inf, yet Im chi ~ 1/gamma = 1e-300 is a double: nothing
         # raises, and the value is kept

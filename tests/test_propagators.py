@@ -170,6 +170,12 @@ class TestDressedPropagator:
         with pytest.raises(DomainError, match="NaN"):
             cross_correlators(Medium(electric=model), point)
 
+    def test_euclidean_overflowing_susceptibility_rejected(self):
+        # chi_bar(0) = inf, so k^2 + 0 * inf is NaN: refused, not returned
+        medium = Medium(electric=Lorentz(1e200, 1.0, 1.0))
+        with pytest.raises(DomainError, match="NaN"):
+            g_phiphi(medium, FieldKind.SCALAR, euclid_point(1.0, 0.0))
+
     def test_real_axis_vacuum(self):
         value = g_phiphi(VACUUM, FieldKind.SCALAR, real_point(1.0, 2.0))
         assert value.real == pytest.approx(-1.0 / 3.0, rel=1e-12)
