@@ -9,6 +9,7 @@ to the actual truncation error at every order.
 import math
 
 from casimir_medium import (
+    Axis,
     FieldKind,
     Lorentz,
     Medium,
@@ -21,7 +22,7 @@ from casimir_medium import (
 
 medium = Medium(electric=Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.3))
 k, omega = 0.4, 1.1
-point = MomentumFrequencyPoint.real_axis(k, omega)
+point = MomentumFrequencyPoint(k, omega, Axis.REAL)
 
 free = g0(k, omega)
 reservoir = g_omega(2.0, omega)

@@ -24,7 +24,7 @@ from .forces import (
     nondispersive_scaling_check,
 )
 from .medium import Constant, Drude, FieldKind, Lorentz, Medium, kk_imaginary_axis
-from .propagators import MomentumFrequencyPoint, dyson_partial_sum, g0, g_phiphi
+from .propagators import Axis, MomentumFrequencyPoint, dyson_partial_sum, g0, g_phiphi
 from .quadrature import QuadratureSpec, _series
 
 __all__ = [
@@ -234,7 +234,7 @@ def sample_dyson_points(medium: Medium) -> list[MomentumFrequencyPoint]:
         omega = rng.uniform(0.05, 2.5)
         r = omega * omega * medium.electric.chi_real_axis(omega) * g0(k, omega)
         if abs(r) < 0.9:
-            points.append(MomentumFrequencyPoint.real_axis(k, omega))
+            points.append(MomentumFrequencyPoint(k, omega, Axis.REAL))
     return points
 
 

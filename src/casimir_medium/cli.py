@@ -35,6 +35,7 @@ from .errors import (
     MediumFileError,
     MediumInstabilityError,
     PoleError,
+    require_positive,
 )
 from .forces import BoundaryCondition, ForceQuery, force_field_bc, force_polarization_bc
 from .medium import FieldKind, Medium, VACUUM, _read_json, load_medium
@@ -127,8 +128,7 @@ def _default_rel_tol() -> float:
         value = float(raw)
     except ValueError:
         raise MediumFileError(f"{RELTOL_ENV}={raw!r} is not a number") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise MediumFileError(f"{RELTOL_ENV}={raw!r} must be positive")
+    require_positive(value, RELTOL_ENV, error=MediumFileError)
     return value
 
 
@@ -144,8 +144,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _separation_grid(hmin: float, hmax: float, points: int, log: bool) -> list[float]:
-    if not (hmin > 0.0 and math.isfinite(hmin)):
-        raise MediumFileError(f"hmin must be > 0, got {hmin!r}")
+    require_positive(hmin, "hmin", error=MediumFileError)
     if points < 1:
         raise MediumFileError(f"points must be >= 1, got {points!r}")
     if points == 1:
@@ -277,12 +276,8 @@ def _cmd_propagator(args: argparse.Namespace) -> int:
             )
     if not args.point:
         raise MediumFileError("at least one --point k,freq is required")
-    if not (args.eta >= 0.0 and math.isfinite(args.eta)):
-        raise MediumFileError(f"--eta must be finite and >= 0, got {args.eta!r}")
-    if not (args.omega_res > 0.0 and math.isfinite(args.omega_res)):
-        raise MediumFileError(
-            f"--omega-res must be finite and > 0, got {args.omega_res!r}"
-        )
+    require_positive(args.eta, "--eta", zero_ok=True, error=MediumFileError)
+    require_positive(args.omega_res, "--omega-res", error=MediumFileError)
 
     lines = [",".join(_PROPAGATOR_COLUMNS)]
     clean = True

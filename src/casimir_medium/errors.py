@@ -5,6 +5,10 @@ that would produce them (poles, unstable media, divergent integrals) raise
 one of the errors below instead.
 """
 
+import math
+
+import numpy as np
+
 __all__ = [
     "CasimirMediumError",
     "DomainError",
@@ -79,3 +83,17 @@ class DegenerateModeError(DomainError):
 class MediumFileError(CasimirMediumError, ValueError):
     """A medium description file is malformed; the message names the
     offending field or location."""
+
+
+def require_positive(value, field: str, *, zero_ok: bool = False, error=DomainError):
+    """Raise ``error``, "<field> must be > 0, got <value>", unless ``value`` is
+    finite and > 0 (>= 0 with ``zero_ok``); an ndarray elementwise, naming one."""
+    ok = value >= 0.0 if zero_ok else value > 0.0
+    if isinstance(ok, np.ndarray):
+        ok &= np.isfinite(value)
+        if ok.all():
+            return
+        value = float(value[~ok].flat[0])
+    elif ok and math.isfinite(value):
+        return
+    raise error(f"{field} must be {'>=' if zero_ok else '>'} 0, got {value!r}")

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, IntegrationFailureError, InvalidRegimeError
+from .errors import DomainError, IntegrationFailureError, InvalidRegimeError, require_positive
 from .medium import Constant, FieldKind, Medium, VACUUM
 from .quadrature import (
     QuadratureSpec,
@@ -58,8 +58,7 @@ _SEPARATION_RANGE = (1e-75, 1e75)
 
 
 def _check_separation(separation: float) -> None:
-    if not (separation > 0.0 and math.isfinite(separation)):
-        raise DomainError(f"separation must be > 0, got {separation!r}")
+    require_positive(separation, "separation")
     lo, hi = _SEPARATION_RANGE
     if not lo <= separation <= hi:
         raise DomainError(
@@ -260,13 +259,8 @@ def mode_logdet(energy: float, separation: float) -> float:
     normalization (regularized as a ratio of determinants), so this one value
     serves both.
     """
-    if not (energy > 0.0 and math.isfinite(energy)):
-        raise DomainError(f"mode energy must be > 0, got {energy!r}")
-    if not (separation > 0.0 and math.isfinite(separation)):
-        raise DomainError(
-            f"separation must be > 0, got {separation!r} "
-            "(the determinant diverges at contact)"
-        )
+    require_positive(energy, "mode energy")
+    require_positive(separation, "separation")  # it diverges at contact
     if 2.0 * energy * separation == 0.0:  # ln(1 - exp(-0)) = -inf
         raise DomainError("2 E H underflows to 0 at energy "
                           f"{energy!r}, separation {separation!r}")

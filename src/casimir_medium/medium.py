@@ -42,6 +42,7 @@ from .errors import (
     MediumInstabilityError,
     PoleError,
     UnsupportedDistributionError,
+    require_positive,
 )
 from .quadrature import QuadratureSpec, integrate_panels
 
@@ -77,26 +78,9 @@ class FieldKind(enum.Enum):
 # integrands of the exported QUADPACK oracles pass plain floats one at a time
 # (some 2e5 refractive_index calls per 2D oracle force), and a helper call,
 # an isinstance check or an array round trip would cost more than the math.
-
-
-def _check_xi(xi) -> None:
-    if type(xi) is not float and isinstance(xi, np.ndarray):
-        valid = (xi >= 0.0) & np.isfinite(xi)
-        if valid.all():
-            return
-        xi = float(xi[~valid].flat[0])
-    if not (xi >= 0.0 and math.isfinite(xi)):
-        raise DomainError(f"imaginary-axis frequency must be >= 0, got {xi!r}")
-
-
-def _check_omega(omega) -> None:
-    if type(omega) is not float and isinstance(omega, np.ndarray):
-        valid = (omega > 0.0) & np.isfinite(omega)
-        if valid.all():
-            return
-        omega = float(omega[~valid].flat[0])
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError(f"real-axis frequency must be > 0, got {omega!r}")
+# Only a frequency that fails the inline test goes to ``require_positive``.
+_XI = "imaginary-axis frequency"
+_OMEGA = "real-axis frequency"
 
 
 class SusceptibilityModel:
@@ -116,7 +100,8 @@ class SusceptibilityModel:
 
     def im_chi(self, omega):
         """Absorptive part at real frequency omega > 0: zero for a lossless model."""
-        _check_omega(omega)
+        if not (type(omega) is float and 0.0 < omega < math.inf):
+            require_positive(omega, _OMEGA)
         return 0.0 * omega
 
     def chi_real_axis(self, omega: float) -> complex:
@@ -132,10 +117,6 @@ class SusceptibilityModel:
         # frequencies where Im chi has poles or kinks on or next to the real axis
         return ()
 
-    def _im_chi_zero_limit(self) -> float:
-        # limit of im_chi as omega -> 0+; raises where it diverges
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Constant(SusceptibilityModel):
@@ -144,11 +125,11 @@ class Constant(SusceptibilityModel):
     chi0: float
 
     def __post_init__(self):
-        if not (self.chi0 >= 0.0 and math.isfinite(self.chi0)):
-            raise DomainError(f"chi0 must be >= 0, got {self.chi0!r}")
+        require_positive(self.chi0, "chi0", zero_ok=True)
 
     def chi_bar(self, xi):
-        _check_xi(xi)
+        if not (type(xi) is float and 0.0 <= xi < math.inf):
+            require_positive(xi, _XI, zero_ok=True)
         return self.chi0 + 0.0 * xi
 
     def chi_real_axis(self, omega: float) -> complex:
@@ -173,29 +154,32 @@ class Lorentz(SusceptibilityModel):
     gamma: float = 0.0
 
     def __post_init__(self):
-        if not (self.omega_p > 0.0 and math.isfinite(self.omega_p)):
-            raise DomainError(f"omega_p must be > 0, got {self.omega_p!r}")
-        if not (self.omega_0 >= 0.0 and math.isfinite(self.omega_0)):
-            raise DomainError(f"omega_0 must be >= 0, got {self.omega_0!r}")
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be >= 0, got {self.gamma!r}")
+        require_positive(self.omega_p, "omega_p")
+        require_positive(self.omega_0, "omega_0", zero_ok=True)
+        require_positive(self.gamma, "gamma", zero_ok=True)
         if self.omega_0 == 0.0 and self.gamma == 0.0:
             raise DomainError("gamma must be > 0 for a free carrier (omega_0 = 0)")
 
     def chi_bar(self, xi):
-        _check_xi(xi)
+        if not (type(xi) is float and 0.0 <= xi < math.inf):
+            require_positive(xi, _XI, zero_ok=True)
         if self.omega_0 == 0.0 and ((xi == 0.0) if type(xi) is float
                                     else np.any(xi == 0.0)):
             raise DomainError(
                 "free-carrier response diverges at zero imaginary frequency"
             )
         den = self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi
-        if type(xi) is float and den == 0.0:  # all underflowed
-            raise DomainError(f"Lorentz response overflows at xi = {xi!r}")
-        return self.omega_p * self.omega_p / den
+        if type(xi) is float:
+            if den == 0.0:  # all underflowed
+                raise DomainError(f"Lorentz response overflows at xi = {xi!r}")
+            return self.omega_p * self.omega_p / den
+        # inf where all underflowed: n t = inf, which every route maps to 0
+        with np.errstate(divide="ignore"):
+            return self.omega_p * self.omega_p / den
 
     def im_chi(self, omega):
-        _check_omega(omega)
+        if not (type(omega) is float and 0.0 < omega < math.inf):
+            require_positive(omega, _OMEGA)
         if self.gamma == 0.0:
             if np.any(omega == self.omega_0):
                 raise UnsupportedDistributionError(
@@ -235,11 +219,6 @@ class Lorentz(SusceptibilityModel):
         # a damped line narrower than its frequency has poles next to the axis
         return (self.omega_0,) if 0.0 < self.gamma < self.omega_0 else ()
 
-    def _im_chi_zero_limit(self) -> float:
-        if self.omega_0 == 0.0:
-            raise DomainError("free-carrier absorption diverges as omega -> 0")
-        return 0.0
-
 
 def Drude(omega_p: float, gamma: float) -> Lorentz:
     """Free carriers, chi(w) = -omega_p^2/(w^2 + i gamma w): Lorentz at omega_0 = 0."""
@@ -271,15 +250,17 @@ class TabulatedCoupling(SusceptibilityModel):
             raise DomainError(
                 f"g_values length {g.size} does not match omega_grid length {w.size}"
             )
-        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(g)):
-            raise DomainError("grid and coupling values must be finite")
-        if w[0] <= 0.0 or np.any(np.diff(w) <= 0.0):
-            raise DomainError("omega_grid must be strictly ascending and > 0")
-        if np.any(g < 0.0):
-            raise DomainError("coupling density must be >= 0 everywhere")
+        require_positive(w, "omega_grid")
+        require_positive(g, "g_values", zero_ok=True)
+        if np.any(np.diff(w) <= 0.0):
+            raise DomainError("omega_grid must be strictly ascending")
+        with np.errstate(over="ignore"):
+            slopes = np.diff(g) / np.diff(w)
+        if not np.isfinite(slopes).all():
+            i = int(np.argmin(np.isfinite(slopes)))
+            raise DomainError(f"slope of g overflows on segment [{w[i]:g}, {w[i + 1]:g}]")
         object.__setattr__(self, "omega_grid", tuple(float(x) for x in w))
         object.__setattr__(self, "g_values", tuple(float(x) for x in g))
-        slopes = np.diff(g) / np.diff(w)
         object.__setattr__(self, "_nodes", w)
         object.__setattr__(self, "_values", g)
         object.__setattr__(self, "_slopes", slopes)
@@ -290,7 +271,8 @@ class TabulatedCoupling(SusceptibilityModel):
         return value if isinstance(omega, np.ndarray) else float(value)
 
     def chi_bar(self, xi):
-        _check_xi(xi)
+        if not (type(xi) is float and 0.0 <= xi < math.inf):
+            require_positive(xi, _XI, zero_ok=True)
         u1, u2, m = self._nodes[:-1], self._nodes[1:], self._slopes
         # one row of segments per frequency; lengths enter as ratios to
         # s = max(u1, xi), so no square or product of two lengths is formed
@@ -313,7 +295,8 @@ class TabulatedCoupling(SusceptibilityModel):
         return total if isinstance(xi, np.ndarray) else float(total)
 
     def im_chi(self, omega):
-        _check_omega(omega)
+        if not (type(omega) is float and 0.0 < omega < math.inf):
+            require_positive(omega, _OMEGA)
         return 0.5 * math.pi * self._g(omega) / omega
 
     def chi_real_axis(self, omega: float) -> complex:
@@ -419,16 +402,12 @@ def kk_imaginary_axis(
     code, which is the point.
 
     Only models with genuine absorption qualify (delta lines and lossless
-    constants have no integrable Im chi); at xi = 0, where the integrand is
-    Im chi(w)/w, free-carrier absorption does not vanish fast enough either.
+    constants have no integrable Im chi); at xi = 0 Im chi(w)/w is integrable
+    exactly where chi_bar(0) is finite, so ``model.chi_bar(xi)`` comes first.
     """
-    _check_xi(xi)
+    model.chi_bar(xi)
     if not model.has_absorption:
-        raise DomainError(
-            "dispersion transform needs a model with nonzero absorption"
-        )
-    if xi == 0.0:
-        model._im_chi_zero_limit()  # raises where Im chi(w)/w is not integrable
+        raise DomainError("dispersion transform needs a model with nonzero absorption")
     spec = spec or QuadratureSpec()
     cuts = {*model._dispersion_breakpoints(), xi} - {0.0}
     res = integrate_panels(lambda w: w * model.im_chi(w) / (w * w + xi * xi),

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     MediumInstabilityError,
     PoleError,
+    require_positive,
 )
 from .medium import FieldKind, Medium
 
@@ -59,20 +60,11 @@ class MomentumFrequencyPoint:
     axis: Axis
 
     def __post_init__(self):
-        if not (self.k >= 0.0 and math.isfinite(self.k)):
-            raise DomainError(f"momentum magnitude must be >= 0, got {self.k!r}")
+        require_positive(self.k, "momentum magnitude", zero_ok=True)
         if not math.isfinite(self.frequency):
             raise DomainError(f"frequency must be finite, got {self.frequency!r}")
         if self.axis is Axis.EUCLIDEAN and self.frequency < 0.0:
             raise DomainError("Euclidean frequency must be >= 0")
-
-    @classmethod
-    def real_axis(cls, k: float, omega: float) -> "MomentumFrequencyPoint":
-        return cls(k=k, frequency=omega, axis=Axis.REAL)
-
-    @classmethod
-    def euclidean(cls, k: float, xi: float) -> "MomentumFrequencyPoint":
-        return cls(k=k, frequency=xi, axis=Axis.EUCLIDEAN)
 
 
 @dataclass(frozen=True)
@@ -103,14 +95,9 @@ class DysonPartialSum:
     converged: bool
 
 
-def _check_eta(eta: float) -> None:
-    if not (eta >= 0.0 and math.isfinite(eta)):
-        raise DomainError(f"eta must be >= 0, got {eta!r}")
-
-
 def _retarded(stiffness, inertia, frequency: float, eta: float, sign=None) -> complex:
     """The real-axis 1/(stiffness - inertia - i eta sign), sign = sgn(frequency)."""
-    _check_eta(eta)
+    require_positive(eta, "eta", zero_ok=True)
     if not math.isfinite(frequency):
         raise DomainError(f"frequency must be finite, got {frequency!r}")
     if stiffness == 0.0 and inertia == 0.0:
@@ -138,8 +125,7 @@ def g0(k: float, omega: float, eta: float = DEFAULT_ETA) -> complex:
     eta = 0 an on-cone evaluation raises PoleError; k = omega = 0 raises
     DomainError at any eta.
     """
-    if not (k >= 0.0 and math.isfinite(k)):
-        raise DomainError(f"momentum magnitude must be >= 0, got {k!r}")
+    require_positive(k, "momentum magnitude", zero_ok=True)
     return _retarded(k * k, omega * omega, omega, eta)
 
 
@@ -151,8 +137,7 @@ def g_omega(omega_res: float, omega_prime: float, eta: float = DEFAULT_ETA) -> c
     force (see ``reservoir_gap``).  omega_res > 0 keeps it clear of the origin
     rule of ``g0``; with eta = 0, w' = +-omega_res is a pole.
     """
-    if not (omega_res > 0.0 and math.isfinite(omega_res)):
-        raise DomainError(f"reservoir frequency must be > 0, got {omega_res!r}")
+    require_positive(omega_res, "reservoir frequency")
     return _retarded(omega_res * omega_res, omega_prime * omega_prime,
                      omega_prime, eta, sign=1)
 
@@ -165,12 +150,8 @@ def reservoir_gap(omega_res: float, separation: float) -> float:
     matrix entry vanishes identically and the resulting determinant carries
     no H dependence.
     """
-    if not (omega_res > 0.0 and math.isfinite(omega_res)):
-        raise DomainError(f"reservoir frequency must be > 0, got {omega_res!r}")
-    if not (separation > 0.0 and math.isfinite(separation)):
-        raise DomainError(
-            f"separation must be > 0, got {separation!r} (contact term at 0)"
-        )
+    require_positive(omega_res, "reservoir frequency")
+    require_positive(separation, "separation")  # a contact term at 0
     return 0.0
 
 
@@ -192,7 +173,7 @@ def g_phiphi(
     """
     k = point.k
     if point.axis is Axis.EUCLIDEAN:
-        _check_eta(eta)
+        require_positive(eta, "eta", zero_ok=True)
         xi = point.frequency
         chi_e = medium.electric.chi_bar(xi)
         chi_m = medium.magnetic.chi_bar(xi) if kind is FieldKind.EM else 0.0
@@ -239,8 +220,9 @@ def cross_correlators(
     return CrossCorrelators(
         g_phi_p=1j * omega * chi_e * g,
         g_phi_m=1j * k * omega * chi_m * g,
-        g_pp=abs(chi_e.imag) + omega * omega * chi_e * chi_e * g,
-        g_mm=abs(chi_m.imag) + k * k * chi_m * chi_m * g,
+        # chi (w^2 chi G): chi^2 may overflow where the product, ~ -chi, does not
+        g_pp=abs(chi_e.imag) + chi_e * (omega * omega * chi_e * g),
+        g_mm=abs(chi_m.imag) + chi_m * (k * k * chi_m * g),
     )
 
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationFailureError
+from .errors import DomainError, IntegrationFailureError, require_positive
 
 __all__ = [
     "QuadratureSpec",
@@ -103,10 +103,8 @@ class QuadratureSpec:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol!r}")
+        require_positive(self.rel_tol, "rel_tol")
+        require_positive(self.abs_tol, "abs_tol")
 
 
 @dataclass(frozen=True)
@@ -190,8 +188,7 @@ def inner_mode_integral(a, h: float):
     h : float
         Mirror separation H > 0.
     """
-    if not (h > 0.0 and math.isfinite(h)):
-        raise DomainError(f"separation must be positive, got {h!r}")
+    require_positive(h, "separation")
     gap = np.asarray(a, dtype=float)
     # the minimum is NaN if any element is, and NaN fails the comparison
     if not gap.min(initial=math.inf) >= 0.0:
@@ -441,41 +438,26 @@ def integrate_1d(
     a, b = domain
     if not math.isfinite(a):
         raise DomainError("lower integration limit must be finite")
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise DomainError(f"transform scale must be positive, got {scale!r}")
+    require_positive(scale, "transform scale")
 
     if math.isinf(b):
-        def g(t: float) -> float:
+        def func(t: float) -> float:
             w = 1.0 - t
             if w == 0.0:  # the integrand vanishes at infinity
                 return 0.0
             return f(a - scale * math.log(w)) * scale / w
         lo, hi = 0.0, 1.0
-        if points is not None:
-            mapped = [-math.expm1(-(p - a) / scale) for p in points if p > a]
-            pts = sorted(t for t in mapped if 0.0 < t < 1.0)
-        else:
-            pts = None
-        func = g
+        pts = [-math.expm1(-(p - a) / scale) for p in points or () if p > a]
     else:
         if b <= a:
             raise DomainError(f"empty or reversed domain ({a!r}, {b!r})")
-        lo, hi = a, b
-        pts = sorted(p for p in points if lo < p < hi) if points else None
-        func = f
+        func, lo, hi, pts = f, a, b, points or ()
+    pts = sorted(p for p in pts if lo < p < hi)
 
     from scipy.integrate import quad  # the test extra brings scipy
 
-    out = quad(
-        func,
-        lo,
-        hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=2000,
-        points=pts if pts else None,
-        full_output=1,
-    )
+    out = quad(func, lo, hi, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=2000,
+               points=pts or None, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     exhausted = len(out) > 3
     if not math.isfinite(value):

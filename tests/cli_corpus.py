@@ -11,8 +11,10 @@ Regenerate the record from the repository root with
 
     python3 tests/cli_corpus.py
 
-It rewrites ``cli_corpus.json`` and prints, for each case whose record
-changed, a unified diff of the old and new record, and then a summary line.
+It reruns every case and rewrites the record of each one whose output no
+longer matches it by ``differences`` (a case that still matches keeps its
+record, last digits included), adds new cases and drops removed ones.  It
+prints a unified diff of every record it changed, then a summary line.
 Every regeneration goes into CHANGES.md with that diff.
 """
 
@@ -233,6 +235,17 @@ def _extreme_cases():
         ("sharp-line-on-a-node-polarization", SHARP,
          ["force", "--bc", "polarization", "--hmin", "0.4", "--hmax", "0.6",
           "--points", "3"]),
+        ("sharp-line-huge-gpp",
+         {"type": "sharp_resonance", "omega_p": 3.3797779783728956e95,
+          "omega_0": 23.790363726494764},
+         ["propagator", "--kinds", "GPP", "--field", "scalar",
+          "--point", "1.2944035672348795,2.3342490389379824"]),
+        ("tabulated-steep-slope",
+         {"type": "tabulated", "omega_grid": [1e-200, 2e-200], "g_values": [0, 1e120]},
+         ["force"]),
+        ("lorentz-underflowed-polarization",
+         {"type": "lorentz", "omega_p": 1, "omega_0": 1e-200, "gamma": 5e-201},
+         ["force", "--bc", "polarization"]),
     ]
     for case_id, electric, argv in cases:
         yield _case(f"extreme-{case_id}", argv, {"electric": electric})
@@ -397,12 +410,14 @@ def _record_lines(record: dict | None) -> list[str]:
 
 
 def regenerate() -> None:
-    """Rerun every case, rewrite the record and print what changed."""
+    """Rerun every case, rewrite the records that moved and print the diff."""
     old = load() if DATA.exists() else {}
     new = {}
     with tempfile.TemporaryDirectory() as workdir:
         for case in CASES:
-            new[case["id"]] = run_case(case, workdir)
+            fresh, kept = run_case(case, workdir), old.get(case["id"])
+            matches = kept is not None and not differences(case, kept, fresh)
+            new[case["id"]] = kept if matches else fresh
     changed = 0
     for case_id in [*new, *(i for i in old if i not in new)]:
         before, after = old.get(case_id), new.get(case_id)

@@ -564,6 +564,9 @@ class TestPropagatorCommand:
 
 WIDE_GRID = {"type": "tabulated", "omega_grid": [1e-300, 0.5, 1, 2, 1e300],
              "g_values": [0, 0.3, 1, 0.2, 0]}
+HUGE_SHARP_LINE = {"type": "sharp_resonance", "omega_p": 3.3797779783728956e95,
+                   "omega_0": 23.790363726494764}
+STEEP_GRID = {"type": "tabulated", "omega_grid": [1e-200, 2e-200], "g_values": [0, 1e120]}
 EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200,0",
                   "0,1e-200", "1,1")
 
@@ -598,12 +601,22 @@ EXTREME_POINTS = ("0,0", "1e-13,0", "1e200,1", "1,1e200", "1e200,1e200", "1e-200
     # at H = 0.5 the exp-sinh node t = 1 sits exactly on the lossless line
     ({"type": "sharp_resonance", "omega_p": 2, "omega_0": 1},
      ["force", "--bc", "polarization", "--hmin", "0.4", "--hmax", "0.6", "--points", "3"], 0),
+    # chi_e^2 overflows, chi_e (w^2 chi_e G), about -chi_e, does not
+    (HUGE_SHARP_LINE, ["propagator", "--kinds", "GPP", "--field", "scalar",
+                       "--point", "1.2944035672348795,2.3342490389379824"], 0),
+    # the slope dg/dw overflows: a refusal naming medium.electric
+    (STEEP_GRID, ["force"], 1),
+    # omega_0^2 + xi^2 + gamma xi underflows at the smallest nodes, whose
+    # weight exp(-n t) is 0: a converged force and no divide warning
+    ({"type": "lorentz", "omega_p": 1, "omega_0": 1e-200, "gamma": 5e-201},
+     ["force", "--bc", "polarization"], 0),
 ], ids=["lorentz-tiny-line-propagator", "wide-grid-force", "wide-grid-euclidean",
         "constant-1e308-force", "constant-1e308-polarization",
         "lorentz-wp-1e200-polarization", "lorentz-wp-1e200-force",
         "lorentz-wp-1e200-force-em", "lorentz-underflowed-propagator",
         "lorentz-wp-1e200-gamma-1-polarization", "lorentz-wp-1e200-euclidean",
-        "sharp-line-underflowed-euclidean", "sharp-line-on-a-node-polarization"])
+        "sharp-line-underflowed-euclidean", "sharp-line-on-a-node-polarization",
+        "sharp-line-huge-gpp", "tabulated-steep-slope", "lorentz-underflowed-polarization"])
 def test_extreme_inputs(tmp_path, capsys, electric, argv, code):
     # the documented exit code and never a traceback (here a RuntimeWarning
     # is an error too), one stderr line on a refusal, no nan in an ok row

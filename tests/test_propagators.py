@@ -33,11 +33,11 @@ LORENTZ_MEDIUM = Medium(electric=Lorentz(omega_p=1.0, omega_0=2.0, gamma=0.3))
 
 
 def real_point(k: float, omega: float) -> MomentumFrequencyPoint:
-    return MomentumFrequencyPoint.real_axis(k, omega)
+    return MomentumFrequencyPoint(k, omega, Axis.REAL)
 
 
 def euclid_point(k: float, xi: float) -> MomentumFrequencyPoint:
-    return MomentumFrequencyPoint.euclidean(k, xi)
+    return MomentumFrequencyPoint(k, xi, Axis.EUCLIDEAN)
 
 
 class TestFreePropagator:
