@@ -93,7 +93,7 @@ def require_positive(value, field: str, *, zero_ok: bool = False, error=DomainEr
         ok &= np.isfinite(value)
         if ok.all():
             return
-        value = float(value[~ok].flat[0])
+        value = value[~ok].flat[0]
     elif ok and math.isfinite(value):
         return
-    raise error(f"{field} must be {'>=' if zero_ok else '>'} 0, got {value!r}")
+    raise error(f"{field} must be {'>=' if zero_ok else '>'} 0, got {float(value)!r}")

@@ -304,10 +304,13 @@ def _close(expected: str, actual: str) -> bool:
 
 
 def _within_factor(expected: str, actual: str) -> bool:
+    # two values of one sign within ERROR_FACTOR; a zero or anything else exactly
     a, b = _number(expected), _number(actual)
-    if a is None or b is None or a == 0.0 or b == 0.0 or a * b < 0.0:
+    if a is None or b is None or not math.isfinite(a) or not math.isfinite(b):
         return expected == actual
-    return abs(math.log(a / b)) <= math.log(ERROR_FACTOR)
+    if a == 0.0 or b == 0.0 or (a > 0.0) != (b > 0.0):
+        return a == b
+    return abs(math.log(abs(a)) - math.log(abs(b))) <= math.log(ERROR_FACTOR)
 
 
 # how each column compares; a column not named here compares exactly

@@ -145,3 +145,8 @@ def test_medium_file_site_names_the_file_field(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: medium.electric: omega_p must be > 0, got 0.0\n"
     )
+
+
+def test_message_shows_a_numpy_scalar_as_a_float():
+    with pytest.raises(DomainError, match=r"got -1\.0$"):
+        reservoir_gap(np.float64(-1.0), 1.0)
