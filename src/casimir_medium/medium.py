@@ -257,8 +257,8 @@ class TabulatedCoupling(SusceptibilityModel):
         with np.errstate(over="ignore"):
             slopes = np.diff(g) / np.diff(w)
         if not np.isfinite(slopes).all():
-            i = int(np.argmin(np.isfinite(slopes)))
-            raise DomainError(f"slope of g overflows on segment [{w[i]:g}, {w[i + 1]:g}]")
+            lo, hi = w[np.argmin(np.isfinite(slopes)):][:2].tolist()  # the first one
+            raise DomainError(f"slope of g overflows on segment [{lo!r}, {hi!r}]")
         object.__setattr__(self, "omega_grid", tuple(float(x) for x in w))
         object.__setattr__(self, "g_values", tuple(float(x) for x in g))
         object.__setattr__(self, "_nodes", w)

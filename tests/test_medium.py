@@ -227,6 +227,12 @@ class TestTabulatedCoupling:
         with pytest.raises(DomainError):
             TabulatedCoupling(omega_grid=(1.0, 2.0), g_values=(1.0, math.nan))
 
+    def test_overflowing_slope_names_its_segment(self):
+        # nodes that agree to six digits still print as two numbers
+        with pytest.raises(DomainError, match=r"segment \[1\.0, 1\.000000000000001\]$"):
+            TabulatedCoupling(omega_grid=(0.5, 1.0, 1.000000000000001),
+                              g_values=(0.0, 0.0, 1e300))
+
     def test_zero_outside_grid(self):
         model = TabulatedCoupling(omega_grid=(1.0, 2.0), g_values=(3.0, 3.0))
         assert model._g(0.5) == 0.0
