@@ -163,19 +163,20 @@ class Lorentz(SusceptibilityModel):
     def chi_bar(self, xi):
         if not (type(xi) is float and 0.0 <= xi < math.inf):
             require_positive(xi, _XI, zero_ok=True)
-        if self.omega_0 == 0.0 and ((xi == 0.0) if type(xi) is float
-                                    else np.any(xi == 0.0)):
-            raise DomainError(
-                "free-carrier response diverges at zero imaginary frequency"
-            )
         den = self.omega_0 * self.omega_0 + xi * xi + self.gamma * xi
-        if type(xi) is float:
-            if den == 0.0:  # all underflowed
+        # den >= omega_0^2, so it is 0 only where omega_0^2 is: a free carrier
+        # at xi = 0, or where all three terms underflow
+        if self.omega_0 * self.omega_0 == 0.0 and (
+                den == 0.0 if type(xi) is float else not np.all(den)):
+            if self.omega_0 == 0.0 and np.any(xi == 0.0):
+                raise DomainError(
+                    "free-carrier response diverges at zero imaginary frequency"
+                )
+            if type(xi) is float:
                 raise DomainError(f"Lorentz response overflows at xi = {xi!r}")
-            return self.omega_p * self.omega_p / den
-        # inf where all underflowed: n t = inf, which every route maps to 0
-        with np.errstate(divide="ignore"):
-            return self.omega_p * self.omega_p / den
+            with np.errstate(divide="ignore"):  # inf there: n t = inf, which
+                return self.omega_p * self.omega_p / den  # every route maps to 0
+        return self.omega_p * self.omega_p / den
 
     def im_chi(self, omega):
         if not (type(omega) is float and 0.0 < omega < math.inf):
