@@ -241,6 +241,7 @@ class TabulatedCoupling(SusceptibilityModel):
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
     _values: np.ndarray = field(init=False, repr=False, compare=False)
     _slopes: np.ndarray = field(init=False, repr=False, compare=False)
+    _segments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.omega_grid, dtype=float)
@@ -253,10 +254,14 @@ class TabulatedCoupling(SusceptibilityModel):
             )
         require_positive(w, "omega_grid")
         require_positive(g, "g_values", zero_ok=True)
-        if np.any(np.diff(w) <= 0.0):
+        u1, du = w[:-1], np.diff(w)
+        if np.any(du <= 0.0):
             raise DomainError("omega_grid must be strictly ascending")
         with np.errstate(over="ignore"):
-            slopes = np.diff(g) / np.diff(w)
+            slopes = np.diff(g) / du
+            # chi_bar's u1, u2 - u1, u1 + u2, m/2, b (g = m u + b) and largest w
+            segments = (u1, du, u1 + w[1:], 0.5 * slopes, g[:-1] - slopes * u1,
+                        float(np.max(du / u1 / w[1:])))
         if not np.isfinite(slopes).all():
             lo, hi = w[np.argmin(np.isfinite(slopes)):][:2].tolist()  # the first one
             raise DomainError(f"slope of g overflows on segment [{lo!r}, {hi!r}]")
@@ -265,6 +270,7 @@ class TabulatedCoupling(SusceptibilityModel):
         object.__setattr__(self, "_nodes", w)
         object.__setattr__(self, "_values", g)
         object.__setattr__(self, "_slopes", slopes)
+        object.__setattr__(self, "_segments", segments)
 
     def _g(self, omega):
         # zero outside the grid, closed at the end nodes, exact at every node
@@ -274,25 +280,28 @@ class TabulatedCoupling(SusceptibilityModel):
     def chi_bar(self, xi):
         if not (type(xi) is float and 0.0 <= xi < math.inf):
             require_positive(xi, _XI, zero_ok=True)
-        u1, u2, m = self._nodes[:-1], self._nodes[1:], self._slopes
+        u1, du, u_sum, half_m, b, w_max = self._segments
         # one row of segments per frequency; lengths enter as ratios to
         # s = max(u1, xi), so no square or product of two lengths is formed
         x = np.asarray(xi, dtype=float)[..., None]
         s = np.maximum(u1, x)
-        a, c = u1 / s, x / s
-        with np.errstate(over="ignore", divide="ignore"):
-            sf = s * (s / (u2 - u1) * (a * a + c * c))  # (u1^2 + xi^2)/(u2 - u1)
-            q = (u1 + u2) / sf  # (u2^2 + xi^2)/(u1^2 + xi^2) - 1
-        log_ratio = np.log1p(q)  # precise also where q << 1, at xi >> u
-        if np.isinf(q).any():  # a ratio past the double range: a log difference
-            far = np.diff(2.0 * np.log(np.hypot(self._nodes, x)), axis=-1)
-            log_ratio = np.where(np.isinf(q), far, log_ratio)
-        # atan(u2/xi) - atan(u1/xi) = atan(z), z = xi w, so the arctan term
-        # b atan(z)/xi is b (atan(z)/z) w; atan(z)/z rounds to 1 below 1e-8
-        w = 1.0 / (sf + u1)  # (u2 - u1)/(xi^2 + u1 u2)
-        z = np.maximum(x * w, 1e-8)
-        b = self._values[:-1] - m * u1  # g = m u + b on the segment
-        total = log_ratio @ (0.5 * m) + (np.arctan(z) / z * w) @ b
+        t = np.minimum(u1, x)
+        t *= t / s
+        t += s  # (u1^2 + xi^2)/s
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sf = np.multiply(s / du, t, out=t)  # (u1^2 + xi^2)/(u2 - u1)
+            # log1p of (u2^2 + xi^2)/(u1^2 + xi^2) - 1, precise also at xi >> u
+            log_ratio = np.log1p(u_sum / sf)
+            # atan(u2/xi) - atan(u1/xi) = atan(z), z = xi w, w = 1/(sf + u1) =
+            # (u2 - u1)/(xi^2 + u1 u2) <= w_max; where xi w_max <= 1e-8 (xi = 0
+            # among them) atan(z)/xi rounds to w in the whole row
+            w = np.reciprocal(np.add(sf, u1, out=sf), out=sf)
+            z = np.arctan(np.multiply(x, w, out=s), out=s)
+            arc = np.where(x[..., 0] * w_max > 1e-8, (z @ b) / x[..., 0], w @ b)
+            total = log_ratio @ half_m + arc
+            if not np.isfinite(total).all():  # a log ratio past the double range
+                far = np.diff(2.0 * np.log(np.hypot(self._nodes, x)), axis=-1)
+                total = np.where(np.isfinite(log_ratio), log_ratio, far) @ half_m + arc
         return total if isinstance(xi, np.ndarray) else float(total)
 
     def im_chi(self, omega):

@@ -80,13 +80,15 @@ _DEBYE_SERIES = np.array([
 ])
 _DEBYE_COEFFS = np.concatenate(([-0.5, 1.0 / 6.0], -_DEBYE_SERIES))
 _DEBYE_ORDERS = np.concatenate(([0.0, 1.0], np.arange(2.0, 41.0, 2.0)))[:, None]
-# x^40 would underflow (slowly) below x = 2e-8; taking x = 1e-7 into the
-# table there moves J by less than x^2 1e-7/6 < 2e-22
+# the table is e^(m ln x): below x = 2e-8, e^(40 ln x) would underflow (slowly), and ln 0
+# is -inf; taking x = 1e-7 into the table there moves J by less than x^2 1e-7/6 < 2e-22
 _DEBYE_FLOOR = 1e-7
-# from x = 2 up, e^-kx (x^2/k + 2x/k^2 + 2/k^3) to k = 21 (e^-22x < 1e-19)
+# from x = 2 up, e^-x sum_k e^-(k-1)x (x^2/k + 2x/k^2 + 2/k^3) to k = 21 (e^-22x < 1e-19),
+# each e^-(k-1)x bounded below by e^-50 = 2e-22, far under the truncation, so none underflows
 _BOSE_ORDERS = np.arange(1.0, 22.0)[:, None]
 _BOSE_COEFFS = 1.0 / _BOSE_ORDERS.T ** [[1.0], [2.0], [3.0]] * [[1.0], [2.0], [2.0]]
-# J = 0 once e^-x underflows (x > 745); the cap keeps x^2 finite there
+_BOSE_SHIFTS = 1.0 - _BOSE_ORDERS  # row k-1 holds -(k-1)
+# J = 0 once it underflows (x > 758); the cap keeps x^2 finite there
 _BOSE_CAP = 1e3
 
 
@@ -175,9 +177,10 @@ def inner_mode_integral(a, h: float):
     du = x^2 Li_1(e^-x) + 2 x Li_2(e^-x) + 2 Li_3(e^-x), which is 2 zeta(3)
     at a = 0.  Below x = 2, J is the Debye-function series 2 zeta(3) -
     x^2/2 + x^3/6 - sum_k c_k x^(2k+2), c_k = B_2k/((2k + 2)(2k)!), to
-    k = 20; from x = 2 up, the Bose series sum_k e^-kx (x^2/k + 2x/k^2 +
-    2/k^3), to k = 21.  Each branch sums its elements at once, as one
-    coefficient matrix times one table of powers (x^m or e^-kx).
+    k = 20; from x = 2 up, the Bose series e^-x sum_k e^-(k-1)x (x^2/k +
+    2x/k^2 + 2/k^3), to k = 21.  Each branch sums its elements at once, as
+    one coefficient matrix times one table of exponentials, x^m = e^(m ln x)
+    or e^-(k-1)x; the factor e^-x goes on after the sum.
 
     Parameters
     ----------
@@ -198,12 +201,14 @@ def inner_mode_integral(a, h: float):
     j = np.empty_like(x)
     low = x < _DEBYE_SPLIT
     x_low = x[low]
-    table = np.maximum(x_low, _DEBYE_FLOOR) ** _DEBYE_ORDERS
-    j[low] = 2.0 * ZETA_3 + x_low * x_low * (_DEBYE_COEFFS @ table)
+    table = _DEBYE_ORDERS * np.log(np.maximum(x_low, _DEBYE_FLOOR))
+    j[low] = 2.0 * ZETA_3 + x_low * x_low * (_DEBYE_COEFFS @ np.exp(table, out=table))
     high = ~low
     x_high = np.minimum(x[high], _BOSE_CAP)
-    s1, s2, s3 = _BOSE_COEFFS @ np.exp(-_BOSE_ORDERS * x_high)  # row k-1: e^-kx
-    j[high] = x_high * (x_high * s1 + s2) + s3
+    table = np.maximum(_BOSE_SHIFTS * x_high, -50.0)
+    s1, s2, s3 = _BOSE_COEFFS @ np.exp(table, out=table)  # row k-1: e^-(k-1)x
+    half = np.exp(-0.5 * x_high)  # e^-x as two factors, each normal while J is
+    j[high] = half * (x_high * (x_high * s1 + s2) + s3) * half
     value = j / (8.0 * h * h * h)
     if gap.ndim == 0:
         return float(value[0])

@@ -358,6 +358,24 @@ def test_dense_tabulated_grid_in_bounded_memory():
     assert res.vacuum_ratio == pytest.approx(0.210041142936451, rel=query.spec.rel_tol)
 
 
+def test_field_route_reaches_the_kernels_by_their_traced_names(monkeypatch):
+    # a tracer that wraps forces.inner_mode_integral and a model class's
+    # chi_bar sees every pass: the route looks both up there, once per pass
+    calls = []
+    mode_integral, chi_bar = forces_module.inner_mode_integral, TabulatedCoupling.chi_bar
+    monkeypatch.setattr(forces_module, "inner_mode_integral",
+                        lambda a, h: calls.append("J") or mode_integral(a, h))
+    monkeypatch.setattr(TabulatedCoupling, "chi_bar",
+                        lambda self, xi: calls.append("chi_bar") or chi_bar(self, xi))
+    w = [0.2 + 2.8 * k / 59 for k in range(60)]
+    coupling = TabulatedCoupling(tuple(w), tuple(math.exp(-((x - 1.2) / 0.4) ** 2) for x in w))
+    # rel_tol 1e-14 is out of reach, so the rule takes all four passes
+    res = force_field_bc(ForceQuery(medium=Medium(electric=coupling), separation=1.0,
+                                    spec=QuadratureSpec(rel_tol=1e-14)))
+    assert res.evaluations == 833  # 105, 209, 417 and 833 nodes
+    assert calls == ["chi_bar", "J"] * 4
+
+
 def _oracle_polarization_force(model, h):
     """The polarization-BC force as the nested QUADPACK oracle over (p0, q)."""
     def integrand(p0, q):

@@ -338,6 +338,10 @@ class TestTabulatedCoupling:
         tuple(0.2 + 2.8 * k / 59 for k in range(60)),
         tuple(math.exp(-((0.2 + 2.8 * k / 59 - 1.2) / 0.4) ** 2) for k in range(60)))
     XI = (0.0, 1e-200, 1e-13, 1.0, 2.0, 10.0, 1e3, 1e5, 1e8, 1e10, 1e20, 1e200)
+    # narrow segments far from the origin, where b atan + m log cancels: the
+    # values are up to 7.5e-14 off, and the bound below catches a lost digit
+    NARROW = TabulatedCoupling(tuple(4.58e4 + 100.0 * k for k in range(8)),
+                               (0.1, 0.9, 0.2, 0.8, 0.3, 0.7, 0.4, 0.6))
 
     @staticmethod
     def _mp_chi_bar(model, xi):
@@ -367,6 +371,13 @@ class TestTabulatedCoupling:
         xi = np.concatenate([[0.0], np.geomspace(5e-324, 1e308, 2001),
                              [sys.float_info.max]])
         assert np.isfinite(model.chi_bar(xi)).all()
+
+    def test_chi_bar_on_narrow_segments_far_from_the_origin(self):
+        xi = (0.0, 1.0, 1e3, 4.6e4, 1e5, 1e8)
+        for x, value in zip(xi, self.NARROW.chi_bar(np.array(xi)).tolist()):
+            exact = float(self._mp_chi_bar(self.NARROW, x))
+            assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+            assert self.NARROW.chi_bar(x) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     def test_small_xi_stability(self):
         # the arctan difference must not cancel at tiny xi

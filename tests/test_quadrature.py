@@ -221,17 +221,26 @@ class TestModeIntegralSeries:
     """J(x) = (2H)^3 I: the Debye-function series below x = 2, the Bose
     series from x = 2 up.  At H = 1/2, x equals a and I equals J."""
 
+    # up to where J leaves the normal range (x = 722) and rounds to 0 (758)
     X = np.concatenate([
         np.geomspace(1e-31, 40.0, 300),
         np.linspace(1.9, 2.1, 41),
         [1.99, np.nextafter(2.0, 0.0), 2.0, 2.01],
+        np.geomspace(40.0, 700.0, 60),
+        np.linspace(700.0, 770.0, 71),
     ])
 
     def test_against_mpmath(self):
-        got = inner_mode_integral(self.X, 0.5)
-        for x, value in zip(self.X, got):
-            ref = mp_inner_mode_integral(float(x), 0.5)
-            assert abs(value - ref) <= 2e-15 * ref, x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inner_mode_integral(self.X, 0.5)
+        refs = np.array([mp_inner_mode_integral(float(x), 0.5) for x in self.X])
+        normal = refs >= np.finfo(float).tiny
+        assert (np.abs(got - refs) <= 2e-15 * refs)[normal].all()
+        # a subnormal J within one step of the rounded reference, and 0 past it
+        assert (np.abs(got - refs) <= 5e-324)[~normal].all()
+        assert (got[refs == 0.0] == 0.0).all()
+        assert (refs[~normal] > 0.0).sum() > 20 and (refs == 0.0).sum() > 10
 
     def test_gapless_value_is_exact(self):
         assert inner_mode_integral(0.0, 0.5) == 2.0 * ZETA_3
